@@ -11,13 +11,16 @@
 // wrong answer is worthless.
 //
 // Results land in bench_results/BENCH_engine.json (schema
-// "chameleon.bench_engine.v1", gated by tools/check.sh). The report records
-// std::thread::hardware_concurrency() because speedup expectations only
-// apply when the host actually has the cores: on a 1-core box the sharded
-// runs still have to produce identical digests, but they are allowed to be
-// slower than the single-threaded scheduler.
+// "chameleon.bench_engine.v1", gated by tools/check.sh). The report carries
+// a host block (usable cores, std::thread::hardware_concurrency(), build
+// type, compiler, and `git describe` of the source checkout) because
+// speedup expectations only apply when the host actually has the cores: on
+// a 1-core box the multi-threaded runs still have to produce identical
+// digests, but they are allowed to be slower than the one-thread run.
 //
 // Usage: bench_engine [--steps N] [--smoke] [--out FILE]
+#include <sched.h>
+
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -60,7 +63,6 @@ void ring_step(sim::Mpi& mpi, int step) {
 struct RunResult {
   double seconds = 0.0;
   std::uint64_t digest = 0;  ///< final vtimes + counters, order-independent
-  std::uint64_t epochs = 0;  ///< sharded scheduler only; 0 for FiberScheduler
 };
 
 RunResult run_once(int fibers, int threads, int steps) {
@@ -99,6 +101,46 @@ std::string fixed(double v, int digits) {
   return buf;
 }
 
+/// Cores this process may run on (what `nproc` prints).
+int usable_cores() {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof set, &set) != 0) return 0;
+  return CPU_COUNT(&set);
+}
+
+/// `git describe --dirty` of the source checkout; "unknown" outside one.
+std::string source_commit() {
+  FILE* pipe = popen("git -C \"" CHAM_SOURCE_DIR
+                     "\" describe --always --dirty --abbrev=12 2>/dev/null",
+                     "r");
+  if (pipe == nullptr) return "unknown";
+  char buf[128] = {};
+  const bool got = std::fgets(buf, sizeof buf, pipe) != nullptr;
+  pclose(pipe);
+  std::string out = got ? buf : "";
+  while (!out.empty() && (out.back() == '\n' || out.back() == '\r'))
+    out.pop_back();
+  return out.empty() ? "unknown" : out;
+}
+
+void write_host(support::json::Writer& w) {
+  w.key("host").begin_object();
+  w.member("nproc", usable_cores());
+  w.member("hardware_concurrency",
+           static_cast<std::uint64_t>(std::thread::hardware_concurrency()));
+  w.member("build_type", CHAM_BUILD_TYPE);
+#if defined(__clang__)
+  w.member("compiler", "clang " __clang_version__);
+#elif defined(__GNUC__)
+  w.member("compiler", "gcc " __VERSION__);
+#else
+  w.member("compiler", "unknown");
+#endif
+  w.member("commit", source_commit());
+  w.end_object();
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -127,8 +169,7 @@ int main(int argc, char** argv) {
   w.begin_object();
   w.member("schema", "chameleon.bench_engine.v1");
   w.member("steps", steps);
-  w.member("hardware_concurrency",
-           static_cast<std::uint64_t>(std::thread::hardware_concurrency()));
+  write_host(w);
   w.key("results").begin_array();
   for (const int fibers : fiber_counts) {
     double base_seconds = 0.0;

@@ -63,12 +63,12 @@ namespace {
 std::atomic<Profiler*> g_profiler{nullptr};
 
 /// Shard binding for the calling thread. Default 0: the driving thread runs
-/// shard 0's fibers in both the sharded and single-threaded schedulers.
+/// shard 0's fibers.
 thread_local int t_worker_shard = 0;
 
 /// Innermost live PhaseScope attached to this thread. Logically the chain
 /// is *fiber*-local — scopes live on fiber stacks and straddle blocking
-/// calls — so the schedulers swap this pointer at every dispatch boundary
+/// calls — so the scheduler swaps this pointer at every dispatch boundary
 /// via PhaseScope::suspend()/resume().
 thread_local PhaseScope* t_phase_top = nullptr;
 

@@ -259,8 +259,7 @@ void set_profiler(Profiler* p);
 // --------------------------------------------------------------------------
 
 /// Bind the calling thread to a shard slot (worker_loop does this; the
-/// driving thread defaults to shard 0, which also covers the
-/// single-threaded FiberScheduler).
+/// driving thread defaults to shard 0).
 void bind_worker_shard(int shard);
 [[nodiscard]] int worker_shard();
 
@@ -271,8 +270,8 @@ void bind_worker_shard(int shard);
 ///
 /// Scopes live on fiber stacks and may straddle blocking MPI calls, so the
 /// innermost-scope chain is *fiber-local*, not thread-local: the fiber
-/// schedulers detach the outgoing fiber's chain at every dispatch boundary
-/// (suspend) and reattach it when the fiber next runs (resume). Without
+/// scheduler detaches the outgoing fiber's chain at every dispatch boundary
+/// (suspend) and reattaches it when the fiber next runs (resume). Without
 /// that handoff a fiber dispatched while another is blocked mid-scope
 /// would chain onto the blocked fiber's stack-resident scope.
 class PhaseScope {
@@ -286,7 +285,7 @@ class PhaseScope {
   PhaseScope(const PhaseScope&) = delete;
   PhaseScope& operator=(const PhaseScope&) = delete;
 
-  /// Dispatch-boundary hooks for the fiber schedulers. suspend() detaches
+  /// Dispatch-boundary hooks for the fiber scheduler. suspend() detaches
   /// the calling thread's open scope chain, stamping the park time so none
   /// of the blocked-out interval is attributed; the scheduler stores the
   /// returned chain with the fiber. resume() reattaches a fiber's chain on

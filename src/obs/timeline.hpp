@@ -7,9 +7,9 @@
 // chrome://tracing.
 //
 // Track layout (all events share pid 1):
-//   tid 0        — "scheduler": one slice per fiber dispatch, named "rank N"
-//                  (shard 0 of the sharded engine reuses this track)
-//   tid -s       — "shard s": dispatch slices of sharded-engine shard s > 0
+//   tid 0        — "scheduler": one slice per fiber dispatch on shard 0,
+//                  named "rank N"
+//   tid -s       — "shard s": dispatch slices of scheduler shard s > 0
 //   tid rank+1   — "rank N": MPI call spans, protocol spans, fault instants
 //
 // Enabling: the runtime consults a single global pointer (set_timeline).
@@ -51,9 +51,9 @@ class Timeline {
   /// Track id of the fiber-scheduler track; rank r's track is `r + 1`.
   static constexpr int kSchedulerTid = 0;
   static constexpr int rank_tid(int rank) { return rank + 1; }
-  /// Dispatch track of sharded-engine shard s. Shard 0 maps onto the
-  /// classic scheduler track (tid 0); further shards get negative tids so
-  /// they can never collide with rank tracks.
+  /// Dispatch track of scheduler shard s. Shard 0 maps onto the scheduler
+  /// track (tid 0); further shards get negative tids so they can never
+  /// collide with rank tracks.
   static constexpr int shard_tid(int shard) { return -shard; }
   /// ChamProf counter tracks (per-shard ready depth etc.). Deep in the
   /// negative range so counter samples never share a tid with dispatch

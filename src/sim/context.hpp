@@ -1,4 +1,4 @@
-// Sanitizer glue shared by the fiber schedulers (fiber.cpp, shard.cpp).
+// Sanitizer glue for the fiber scheduler (shard.cpp).
 //
 // AddressSanitizer tracks one stack per thread; ucontext switches move
 // execution to a different stack behind its back, so every switch must be
@@ -10,11 +10,10 @@
 // sync-on-switch Release and ThreadState reuse after __tsan_destroy_fiber
 // both SEGV inside the runtime after a handful of fibers (StackDepot hash
 // walking a stale shadow stack; reproducible with a 60-line standalone
-// probe). Leaving TSan unaware of fibers is semantically right for both
-// schedulers anyway: every fiber is pinned to one hosting OS thread (the
-// single scheduler thread, or its owning shard's worker), so attributing
-// all its accesses to that thread models exactly the real happens-before;
-// cross-THREAD races — the only real ones — are still caught via the
+// probe). Leaving TSan unaware of fibers is semantically right for the
+// scheduler anyway: every fiber is pinned to one hosting OS thread (its
+// owning shard's worker), so attributing all its accesses to that thread
+// models exactly the real happens-before; cross-THREAD races — the only real ones — are still caught via the
 // genuine mutex/atomic edges. Define CHAM_TSAN_FIBER_API=1 to re-enable
 // the hooks on a fixed libtsan.
 #pragma once

@@ -8,7 +8,6 @@
 #include "obs/prof/profiler.hpp"
 #include "obs/timeline.hpp"
 #include "sim/fault.hpp"
-#include "sim/fiber.hpp"
 #include "sim/mpi.hpp"
 #include "sim/shard.hpp"
 #include "sim/tool.hpp"
@@ -61,32 +60,13 @@ double Engine::wait_seconds(Rank r) const {
 
 Pmpi& Engine::pmpi(Rank r) { return pmpis_.at(static_cast<std::size_t>(r)); }
 
-namespace {
-/// Removes the rank context from the logger even when run() unwinds via a
-/// deadlock or tool exception — the scheduler it points at dies with run().
-struct LogRankProviderGuard {
-  ~LogRankProviderGuard() { support::set_log_rank_provider(nullptr); }
-};
-}  // namespace
-
 void Engine::run(const std::function<void(Mpi&)>& rank_main) {
   CHAM_CHECK_MSG(!ran_, "Engine::run may be called once");
   ran_ = true;
-  // More shards than ranks would only add idle workers; clamp. threads == 1
-  // keeps the classic single-threaded scheduler so existing runs stay
-  // byte-for-byte identical.
-  const int nshards = std::min(std::max(opts_.threads, 1), opts_.nprocs);
-  if (nshards > 1) {
-    auto sharded = std::make_unique<ShardedScheduler>(nshards);
-    // The planner runs with every worker parked on the epoch barrier, so
-    // its cross-rank vtime reads are ordered after all fiber writes.
-    sharded->set_vtime_probe(
-        [this](int id) { return vtime_[static_cast<std::size_t>(id)]; });
-    sharded->set_epoch_horizon(opts_.epoch_horizon);
-    scheduler_ = std::move(sharded);
-  } else {
-    scheduler_ = std::make_unique<FiberScheduler>();
-  }
+  // More shards than ranks would only add idle workers; clamp. One shard
+  // runs every fiber on the calling thread.
+  scheduler_ = std::make_unique<ShardedScheduler>(
+      std::min(std::max(opts_.threads, 1), opts_.nprocs));
   if (opts_.sched_seed != 0) scheduler_->set_seed(opts_.sched_seed);
   if (obs::Timeline* tl = obs::timeline()) {
     // Shard worker tracks (s >= 1) are named by ShardedScheduler::run()
@@ -96,9 +76,6 @@ void Engine::run(const std::function<void(Mpi&)>& rank_main) {
       tl->set_track_name(obs::Timeline::rank_tid(r),
                          "rank " + std::to_string(r));
   }
-  support::set_log_rank_provider(
-      [sched = scheduler_.get()] { return sched->current(); });
-  LogRankProviderGuard log_guard;
   mpis_.reserve(static_cast<std::size_t>(opts_.nprocs));
   pmpis_.reserve(static_cast<std::size_t>(opts_.nprocs));
   for (Rank r = 0; r < opts_.nprocs; ++r) {

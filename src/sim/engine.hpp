@@ -1,6 +1,6 @@
 // The minimpi engine: a deterministic, single-process MPI runtime.
 //
-// Every rank is a fiber (sim/fiber.hpp). The engine implements tag/source
+// Every rank is a fiber (sim/shard.hpp). The engine implements tag/source
 // matched point-to-point messaging with eager (buffered) sends, tree-modelled
 // collectives, per-rank virtual clocks driven by the NetModel, and a PMPI
 // interposition layer: traced calls enter through the Mpi facade which fires
@@ -23,7 +23,7 @@
 #include <vector>
 
 #include "sim/netmodel.hpp"
-#include "sim/scheduler.hpp"
+#include "sim/shard.hpp"
 #include "sim/types.hpp"
 
 namespace cham::sim {
@@ -59,7 +59,7 @@ struct EngineOptions {
   int nprocs = 4;
   // TSan instrumentation inflates frame sizes (shadow spills plus
   // __tsan_func_entry bookkeeping), and TSan is not told where fiber stacks
-  // end (see src/sim/fiber.cpp), so give the engine + clustering call
+  // end (see src/sim/context.hpp), so give the engine + clustering call
   // chains generous headroom in that configuration only.
 #if defined(__SANITIZE_THREAD__)
   std::size_t stack_bytes = 2 * 1024 * 1024;
@@ -68,21 +68,17 @@ struct EngineOptions {
 #endif
   NetModel net{};
   FaultTolerance ft{};
-  /// Non-zero: dispatch ready fibers in seeded-shuffle order instead of
-  /// FIFO (FiberScheduler::set_seed). Protocol output must not depend on
-  /// this — the ChamRace determinism auditor diffs runs across seeds.
+  /// Non-zero: each epoch runs every shard's ready fibers in an order
+  /// shuffled per (seed, shard, epoch) instead of rank order
+  /// (ShardedScheduler::set_seed) — at one thread too. Protocol output must
+  /// not depend on this — the ChamRace determinism auditor diffs runs
+  /// across seeds.
   std::uint64_t sched_seed = 0;
-  /// Worker threads (shards) for the fiber scheduler. 1 — the default —
-  /// keeps the classic single-threaded FiberScheduler, byte-for-byte
-  /// identical to every earlier release; N > 1 installs the ChamShard
-  /// ShardedScheduler with min(N, nprocs) shards. Protocol output is
-  /// identical either way (docs/ENGINE.md, determinism contract).
+  /// Worker threads (shards) for the fiber scheduler: min(N, nprocs)
+  /// shards. 1 — the default — runs every fiber on the calling thread.
+  /// Protocol output is identical at every count (docs/ENGINE.md,
+  /// determinism contract).
   int threads = 1;
-  /// Epoch window width for the sharded scheduler: fibers whose vtime is
-  /// within `epoch_horizon` of the epoch's minimum run in the same barrier
-  /// round. Negative — the default — means unbounded (every ready fiber
-  /// runs every round, the SMPI scheduling-round discipline).
-  double epoch_horizon = -1.0;
 };
 
 /// An in-flight or delivered message.
@@ -410,14 +406,13 @@ class Engine {
   std::atomic<std::uint64_t> cancelled_recvs_{0};
   std::atomic<std::uint64_t> forced_collectives_{0};
 
-  std::unique_ptr<Scheduler> scheduler_;
+  std::unique_ptr<ShardedScheduler> scheduler_;
   std::vector<Mpi> mpis_;
   std::vector<Pmpi> pmpis_;
   // Owner-written per-rank state: only rank r's fiber writes slot r, so no
-  // lock is needed; cross-rank reads happen at quiescent points (the epoch
-  // planner, the stall handler, post-run) or through the vtime probe whose
-  // reads the epoch barrier orders. The ChamRace analyzer checks exactly
-  // this single-writer discipline.
+  // lock is needed; cross-rank reads happen at quiescent points (the stall
+  // handler, post-run). The ChamRace analyzer checks exactly this
+  // single-writer discipline.
   std::vector<double> vtime_;
   std::vector<double> wait_;
   std::vector<BlockedState> blocked_;  // [rank]
@@ -430,8 +425,8 @@ class Engine {
   //   inbox_m_[r]            — inbox_[r]
   //   collmap_m_             — coll_sites_ map shape (insert/erase)
   //   CollSite::m            — one site's fields
-  // With threads == 1 the locks are always uncontended — one futex-free
-  // atomic op each — keeping the classic path's behaviour and speed.
+  // With one shard the locks are always uncontended — one futex-free
+  // atomic op each.
   std::unique_ptr<std::mutex[]> mbox_m_;             // [comm*P + rank]
   std::unique_ptr<std::mutex[]> inbox_m_;            // [rank]
   std::mutex collmap_m_;

@@ -1,14 +1,12 @@
 #include "sim/shard.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <sstream>
 
 #include "analysis/race/annotate.hpp"
 #include "obs/prof/profiler.hpp"
 #include "obs/timeline.hpp"
 #include "sim/context.hpp"
-#include "sim/fiber.hpp"  // detail::FiberCancelled (shared unwind token)
 #include "support/hash.hpp"
 #include "support/logging.hpp"
 #include "support/rng.hpp"
@@ -32,6 +30,20 @@ namespace {
 /// Thread-local so every shard worker — and the engine's log-rank provider
 /// running on it — sees only its own fiber.
 thread_local int tls_current_fiber = -1;
+
+/// Installs the rank context for log records emitted on this worker thread
+/// (the provider is thread-local) and clears it on every exit path, so an
+/// exception out of the planner cannot leave it pointing at a dead
+/// scheduler.
+class LogRankProviderScope {
+ public:
+  explicit LogRankProviderScope(const ShardedScheduler& sched) {
+    support::set_log_rank_provider([&sched] { return sched.current(); });
+  }
+  ~LogRankProviderScope() { support::set_log_rank_provider(nullptr); }
+  LogRankProviderScope(const LogRankProviderScope&) = delete;
+  LogRankProviderScope& operator=(const LogRankProviderScope&) = delete;
+};
 
 }  // namespace
 
@@ -154,13 +166,10 @@ void ShardedScheduler::worker_loop(int shard_index) {
   Shard& shard = *shards_[static_cast<std::size_t>(shard_index)];
   if (shard.main_tsan_fiber == nullptr)
     shard.main_tsan_fiber = tsan_this_fiber();
-  // Rank context for log records emitted on this worker (the provider is
-  // thread-local, so each worker installs — and clears — its own).
-  support::set_log_rank_provider([this] { return current(); });
+  const LogRankProviderScope log_rank(*this);
   prof::bind_worker_shard(shard_index);
   while (barrier_and_plan(shard_index)) run_epoch(shard_index);
   prof::bind_worker_shard(0);
-  support::set_log_rank_provider(nullptr);
 }
 
 bool ShardedScheduler::barrier_and_plan(int shard_index) {
@@ -172,7 +181,7 @@ bool ShardedScheduler::barrier_and_plan(int shard_index) {
     // has exclusive access to all shard and engine state. The lock chain
     // through coord_m_ (each worker locked it on arrival, after its last
     // fiber write) is the happens-before edge that makes the planner's
-    // cross-shard reads — vtimes, queues, the stall handler — race-free.
+    // cross-shard reads — queues, the stall handler — race-free.
     if (prof != nullptr) {
       // Slot writes are exclusive: this thread owns its slot and every
       // other worker is parked on the barrier.
@@ -218,12 +227,9 @@ void ShardedScheduler::plan_epoch() {
     // epoch's run order independent of the (thread-timing dependent) order
     // in which wake-ups arrived.
     std::size_t total_ready = 0;
-    double t_min = std::numeric_limits<double>::infinity();
     for (auto& shard : shards_) {
       const prof::TimedLockGuard lock(shard->m, prof::LockClass::kShardQueue);
       std::sort(shard->ready.begin(), shard->ready.end());
-      for (const int id : shard->ready)
-        t_min = std::min(t_min, fiber_vtime(id));
       total_ready += shard->ready.size();
     }
 
@@ -269,25 +275,12 @@ void ShardedScheduler::plan_epoch() {
       }
     }
 
-    // Window selection: everything at [t_min, t_min + horizon] runs now;
-    // later fibers wait for a future epoch. Cancellation overrides the
-    // window so every survivor unwinds promptly.
-    const bool cancel = cancelling_.load(std::memory_order_relaxed);
-    const double limit = horizon_ < 0.0
-                             ? std::numeric_limits<double>::infinity()
-                             : t_min + horizon_;
+    // Every ready fiber runs this epoch.
     for (std::size_t s = 0; s < shards_.size(); ++s) {
       Shard& shard = *shards_[s];
       const prof::TimedLockGuard lock(shard.m, prof::LockClass::kShardQueue);
-      shard.run_list.clear();
-      auto keep = shard.ready.begin();
-      for (const int id : shard.ready) {
-        if (cancel || fiber_vtime(id) <= limit)
-          shard.run_list.push_back(id);
-        else
-          *keep++ = id;
-      }
-      shard.ready.erase(keep, shard.ready.end());
+      shard.run_list.assign(shard.ready.begin(), shard.ready.end());
+      shard.ready.clear();
       if (seed_ != 0 && shard.run_list.size() > 1) {
         // Deterministic per (seed, shard, epoch) — independent of thread
         // timing, reproducible across runs and thread counts with the same
@@ -302,12 +295,11 @@ void ShardedScheduler::plan_epoch() {
       }
     }
     if (prof::Profiler* prof = prof::profiler()) {
-      // Ready-queue depth per shard for this epoch (run list + deferred).
-      // Plain reads: every worker is parked, ordered through coord_m_.
+      // Ready-queue depth per shard for this epoch. Plain reads: every
+      // worker is parked, ordered through coord_m_.
       std::vector<std::uint32_t> depth(shards_.size());
       for (std::size_t s = 0; s < shards_.size(); ++s)
-        depth[s] = static_cast<std::uint32_t>(shards_[s]->run_list.size() +
-                                              shards_[s]->ready.size());
+        depth[s] = static_cast<std::uint32_t>(shards_[s]->run_list.size());
       prof->note_epoch(epochs_ + 1, depth);
     }
     ++epochs_;
@@ -473,11 +465,11 @@ void ShardedScheduler::unblock(int id) {
     // Woken fibers join the *next* epoch: the planner merges this entry at
     // the barrier, so eligibility never depends on wake-up timing.
     shard.ready.push_back(id);
-  } else if (fiber.state == ShardFiberState::kReady ||
-             fiber.state == ShardFiberState::kRunning) {
+  } else if (fiber.state == ShardFiberState::kRunning) {
     // The target is running (likely deciding to block on the condition we
-    // just satisfied) or already queued: leave a token so its next block()
-    // returns immediately instead of losing this wake-up.
+    // just satisfied): leave a token so its next block() returns immediately
+    // instead of losing this wake-up. A queued (kReady) target needs none —
+    // its condition loop re-checks when it next runs.
     fiber.wake_pending = true;
     race::release("fiber.wake", static_cast<std::uint64_t>(id));
   }

@@ -1,20 +1,19 @@
-// ChamShard: the sharded multi-threaded fiber scheduler.
+// ChamShard: the engine's fiber scheduler.
 //
+// Every simulated MPI rank runs as one cooperatively scheduled fiber.
 // Rank fibers are partitioned round-robin across a fixed pool of shards
 // (rank r lives on shard r % S forever); every shard owns a run queue and a
 // worker thread that is the only thread ever executing — or resuming — its
 // fibers, so each fiber's stack, ucontext, and ASan bookkeeping stay
-// thread-pinned for life. Execution proceeds in virtual-clock epochs
-// separated by a pool-wide barrier:
+// thread-pinned for life. With one shard the driving thread is the only
+// worker and no thread is spawned. Execution proceeds in epochs separated by
+// a pool-wide barrier (the SimGrid/SMPI scheduling-round discipline):
 //
 //   1. All workers park on the barrier. The last arriver becomes the
-//      planner: it merges freshly woken fibers into the shard run queues,
-//      computes the minimum virtual time over every ready fiber, and marks
-//      the fibers inside the epoch window [t_min, t_min + horizon] eligible
-//      (the default horizon is unbounded — every ready fiber joins, the
-//      SimGrid/SMPI scheduling-round discipline — because the engine's
-//      vtime algebra makes protocol output independent of intra-epoch
-//      order; see docs/ENGINE.md).
+//      planner: it merges freshly woken fibers into the shard run queues and
+//      makes every ready fiber eligible. The engine's vtime algebra makes
+//      protocol output independent of intra-epoch order; see
+//      docs/ENGINE.md.
 //   2. The barrier releases; each shard runs its eligible fibers — in rank
 //      order, or seeded-shuffled per (seed, shard, epoch) when a scheduler
 //      seed is set — exactly once, in parallel with the other shards.
@@ -22,16 +21,23 @@
 //      the current one, so eligibility is independent of thread timing.
 //   3. Repeat until every fiber finished, or nothing is ready: then the
 //      planner runs the stall handler (all workers parked, so it sees a
-//      fully quiescent engine), and failing that triggers the same
-//      cancel-and-unwind deadlock path as the single-threaded scheduler.
+//      fully quiescent engine), and failing that captures a deadlock report,
+//      unwinds every surviving fiber stack (so destructors run and nothing
+//      leaks), and run() throws DeadlockError instead of hanging.
 //
 // Wake-ups racing a block are handled with a per-fiber wake token: an
 // unblock() that finds its target running (about to block on the very
 // condition the caller just satisfied) sets wake_pending instead of being
 // dropped; the target's next block() consumes the token and returns
-// immediately. Engine block sites are all condition loops, so the spurious
-// return re-checks and either proceeds or blocks for real — the classic
-// lost-wakeup is structurally impossible.
+// immediately. A target that is merely queued gets no token: it re-checks
+// its condition when it next runs. Engine block sites are all condition
+// loops, so the spurious return re-checks and either proceeds or blocks for
+// real — a lost wakeup is structurally impossible.
+//
+// The scheduler is also the source of ChamRace's happens-before edges
+// (docs/RACE.md): spawn forks the child's clock, block/unblock and the
+// stall-handler quiescence are modelled as sync objects, and every dispatch
+// announces the new task.
 #pragma once
 
 #include <ucontext.h>
@@ -44,11 +50,10 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
-
-#include "sim/scheduler.hpp"
 
 namespace cham::obs::prof {
 class PhaseScope;
@@ -56,9 +61,21 @@ class PhaseScope;
 
 namespace cham::sim {
 
+/// Thrown by ShardedScheduler::run once every live fiber has been unwound
+/// after a confirmed deadlock (no runnable fiber, stall handler exhausted).
+class DeadlockError : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
+};
+
 class ShardedScheduler;
 
 namespace detail {
+
+/// Thrown inside a fiber to force a clean stack unwind during cancellation.
+/// Deliberately not derived from std::exception so application-level
+/// `catch (const std::exception&)` handlers cannot swallow it.
+struct FiberCancelled {};
 
 enum class ShardFiberState : std::uint8_t {
   kReady,
@@ -99,45 +116,73 @@ struct ShardFiber {
 
 }  // namespace detail
 
-class ShardedScheduler final : public Scheduler {
+class ShardedScheduler {
  public:
   /// A pool of `nthreads` shards/workers (>= 1). The driving thread that
   /// calls run() doubles as shard 0's worker, so nthreads == 1 spawns no
   /// threads at all.
   explicit ShardedScheduler(int nthreads);
-  ~ShardedScheduler() override;
+  ~ShardedScheduler();
+  ShardedScheduler(const ShardedScheduler&) = delete;
+  ShardedScheduler& operator=(const ShardedScheduler&) = delete;
 
-  int spawn(std::function<void()> entry, std::size_t stack_bytes) override;
-  void run() override;
-  void set_stall_handler(std::function<bool()> handler) override {
+  /// Create a fiber; it becomes runnable immediately. Returns its id
+  /// (dense, starting at 0 — used as the MPI rank). Must be called before
+  /// run(), from the driving thread.
+  int spawn(std::function<void()> entry, std::size_t stack_bytes);
+
+  /// Drive all fibers to completion. Rethrows the first exception a fiber
+  /// raised. Throws DeadlockError on deadlock — in both cases only after
+  /// every remaining fiber stack has been unwound (destructors run).
+  void run();
+
+  /// Consulted when no fiber is runnable but some are still alive;
+  /// returning true means it unblocked something and the run continues,
+  /// false falls through to the deadlock report. It runs on the planner
+  /// with every worker parked, so it may freely inspect cross-rank state.
+  void set_stall_handler(std::function<bool()> handler) {
     stall_handler_ = std::move(handler);
   }
-  void set_seed(std::uint64_t seed) override { seed_ = seed; }
 
-  /// Probe mapping a fiber id to its current virtual time; consulted by the
-  /// epoch planner to compute the window. Without a probe every fiber
-  /// reports t=0 and each epoch runs the full ready set.
-  void set_vtime_probe(std::function<double(int)> probe) {
-    vtime_probe_ = std::move(probe);
-  }
+  /// Seed != 0 replaces rank-order dispatch with a shuffle per (seed,
+  /// shard, epoch), reproducible per seed and shard count. Used by the
+  /// determinism auditor; call before run().
+  void set_seed(std::uint64_t seed) { seed_ = seed; }
 
-  /// Epoch window width: fibers with vtime <= t_min + horizon run this
-  /// epoch. Negative (default) means unbounded — all ready fibers run.
-  void set_epoch_horizon(double horizon) { horizon_ = horizon; }
+  // --- called from inside a fiber ---
 
-  void yield() override;
-  void block(std::string reason) override;
-  void unblock(int id) override;
-  [[noreturn]] void exit_current() override;
-  [[nodiscard]] int current() const override;
-  [[nodiscard]] std::size_t fiber_count() const override {
-    return fibers_.size();
-  }
-  [[nodiscard]] std::size_t finished_count() const override;
-  [[nodiscard]] bool finished(int id) const override;
-  [[nodiscard]] bool blocked(int id) const override;
-  [[nodiscard]] std::string block_note(int id) const override;
-  [[nodiscard]] std::uint64_t switch_count() const override;
+  /// Yield but stay runnable (the fiber runs again next epoch).
+  void yield();
+
+  /// Mark the current fiber blocked and switch away. Returns once some
+  /// other fiber calls unblock() on it, or spuriously when a wake token is
+  /// pending; callers must re-check their condition in a loop.
+  void block(std::string reason);
+
+  /// Make a blocked fiber runnable again (next epoch). Callable from any
+  /// fiber, from any shard, or from the stall handler.
+  void unblock(int id);
+
+  /// Terminate the calling fiber immediately by unwinding its stack (the
+  /// FiberCancelled path cancellation uses; destructors run). Used to kill
+  /// a single rank — e.g. an injected crash — without disturbing the others.
+  [[noreturn]] void exit_current();
+
+  /// Id of the fiber currently executing on the *calling thread*; -1 when
+  /// called from scheduler/planner code.
+  [[nodiscard]] int current() const;
+  [[nodiscard]] std::size_t fiber_count() const { return fibers_.size(); }
+  [[nodiscard]] std::size_t finished_count() const;
+
+  /// Introspection for analysis tools: fiber lifecycle state and the
+  /// blocker's note (empty unless blocked). Valid when the target fiber is
+  /// quiescent (stall handler, post-run); the note is copied out under the
+  /// shard lock.
+  [[nodiscard]] bool finished(int id) const;
+  [[nodiscard]] bool blocked(int id) const;
+  [[nodiscard]] std::string block_note(int id) const;
+  /// Total fiber context switches performed (diagnostics).
+  [[nodiscard]] std::uint64_t switch_count() const;
 
   [[nodiscard]] int shards() const { return static_cast<int>(shards_.size()); }
   /// Barrier rounds executed (diagnostics; tests assert epoch progress).
@@ -167,15 +212,12 @@ class ShardedScheduler final : public Scheduler {
   /// Returns false once the pool is shutting down. The shard index feeds
   /// the per-shard ChamProf barrier-wait/plan counters.
   bool barrier_and_plan(int shard_index);
-  /// Runs on the planner with every worker parked: merge wakes, pick the
-  /// epoch window, fill the run lists — or handle stall/cancel/done.
+  /// Runs on the planner with every worker parked: merge wakes, fill the
+  /// run lists — or handle stall/cancel/done.
   void plan_epoch();
   void run_epoch(int shard_index);
   void dispatch(int shard_index, detail::ShardFiber& fiber);
   void start_cancel();
-  [[nodiscard]] double fiber_vtime(int id) const {
-    return vtime_probe_ ? vtime_probe_(id) : 0.0;
-  }
   [[nodiscard]] std::string deadlock_report();
   void record_exception();
 
@@ -200,9 +242,7 @@ class ShardedScheduler final : public Scheduler {
   std::string deadlock_message_;
 
   std::function<bool()> stall_handler_;
-  std::function<double(int)> vtime_probe_;
   std::uint64_t seed_ = 0;
-  double horizon_ = -1.0;
   bool ran_ = false;
 };
 

@@ -5,7 +5,6 @@
 
 #include "trace/perf.hpp"
 #include "trace/rsd.hpp"
-#include "trace/scale.hpp"
 
 namespace cham::trace {
 
@@ -68,9 +67,9 @@ bool nodes_mergeable_deep(const TraceNode& a, const TraceNode& b) {
 /// Hash-precheck-then-verify: mergeable nodes always share their
 /// (endpoint-independent) merge_hash, so a mismatch rejects in O(1); on a
 /// match the deep check still settles endpoint generalization.
-bool nodes_mergeable(const TraceNode& a, const TraceNode& b, bool fast,
+bool nodes_mergeable(const TraceNode& a, const TraceNode& b,
                      PerfCounters* pc) {
-  if (fast && a.hashed() && b.hashed()) {
+  if (a.hashed() && b.hashed()) {
     if (pc != nullptr) ++pc->merge_prechecks;
     if (a.merge_hash != b.merge_hash) {
       if (pc != nullptr) ++pc->merge_hash_rejects;
@@ -79,7 +78,7 @@ bool nodes_mergeable(const TraceNode& a, const TraceNode& b, bool fast,
   }
   if (pc != nullptr) ++pc->merge_deep_compares;
   const bool ok = nodes_mergeable_deep(a, b);
-  if (fast && !ok && pc != nullptr) ++pc->merge_deep_rejects;
+  if (!ok && pc != nullptr) ++pc->merge_deep_rejects;
   return ok;
 }
 
@@ -104,11 +103,11 @@ void merge_into(TraceNode& a, const TraceNode& b) {
   a.rehash_shallow();
 }
 
-/// Per-thread reusable DP/memo storage for inter_merge (scale option
-/// `arena`): a weak-scaled fold performs O(log P) merges per epoch with
-/// similarly sized tables, so reusing capacity removes the dominant
-/// allocation in the merge tree. Safe with fibers: inter_merge never yields
-/// to the scheduler mid-call, so the scratch is never observed mid-use.
+/// Per-thread reusable DP/memo storage for the LCS merge: a weak-scaled
+/// fold performs O(log P) merges per epoch with similarly sized tables, so
+/// reusing capacity removes the dominant allocation in the merge tree. Safe
+/// with fibers: lcs_merge never yields to the scheduler mid-call, so the
+/// scratch is never observed mid-use.
 struct MergeScratch {
   std::vector<std::uint32_t> dp;
   std::vector<std::uint8_t> memo;
@@ -119,6 +118,11 @@ MergeScratch& merge_scratch() {
   return scratch;
 }
 
+void ensure_hashed(std::vector<TraceNode>& nodes) {
+  for (auto& node : nodes)
+    if (!node.hashed()) node.rehash_deep();
+}
+
 }  // namespace
 
 std::vector<TraceNode> inter_merge(std::vector<TraceNode> a,
@@ -126,32 +130,24 @@ std::vector<TraceNode> inter_merge(std::vector<TraceNode> a,
                                    PerfCounters* pc) {
   if (a.empty()) return b;
   if (b.empty()) return a;
-
-  const bool fast = fast_path_enabled();
-  if (fast) {
-    for (auto& node : a)
-      if (!node.hashed()) node.rehash_deep();
-    for (auto& node : b)
-      if (!node.hashed()) node.rehash_deep();
-  }
-
-  const std::size_t na = a.size();
-  const std::size_t nb = b.size();
+  ensure_hashed(a);
+  ensure_hashed(b);
 
   // Dedup zip: weak-scaled SPMD ranks produce structurally identical
   // sequences, so sibling subtrees usually align 1:1. When the sides have
   // equal length and every diagonal pair is mergeable (hash precheck makes
-  // a mismatch O(1)), the LCS backtrack below would take the mergeable
-  // branch at every step anyway — zip diagonally and skip the O(n^2) table.
-  if (fast && scale_options().dedup_merge && na == nb) {
+  // a mismatch O(1)), the LCS backtrack would take the mergeable branch at
+  // every step anyway — zip diagonally and skip the O(n^2) table.
+  const std::size_t n = a.size();
+  if (n == b.size()) {
     bool diagonal = true;
-    for (std::size_t i = 0; i < na && diagonal; ++i)
-      diagonal = nodes_mergeable(a[i], b[i], true, pc);
+    for (std::size_t i = 0; i < n && diagonal; ++i)
+      diagonal = nodes_mergeable(a[i], b[i], pc);
     if (diagonal) {
       if (pc != nullptr) ++pc->merge_zip_hits;
       std::vector<TraceNode> merged;
-      merged.reserve(na);
-      for (std::size_t i = 0; i < na; ++i) {
+      merged.reserve(n);
+      for (std::size_t i = 0; i < n; ++i) {
         TraceNode node = std::move(a[i]);
         merge_into(node, b[i]);
         merged.push_back(std::move(node));
@@ -159,22 +155,33 @@ std::vector<TraceNode> inter_merge(std::vector<TraceNode> a,
       return merged;
     }
   }
+  return lcs_merge(std::move(a), std::move(b), pc);
+}
+
+std::vector<TraceNode> lcs_merge(std::vector<TraceNode> a,
+                                 std::vector<TraceNode> b,
+                                 PerfCounters* pc) {
+  if (a.empty()) return b;
+  if (b.empty()) return a;
+  ensure_hashed(a);
+  ensure_hashed(b);
+
+  const std::size_t na = a.size();
+  const std::size_t nb = b.size();
 
   // Mergeability memo shared between the DP fill and the backtrack pass:
   // the fill evaluates every pair once, the backtrack replays its path from
   // the memo instead of re-running the structural comparison.
-  MergeScratch local;
-  MergeScratch& scratch = scale_options().arena ? merge_scratch() : local;
+  MergeScratch& scratch = merge_scratch();
   std::vector<std::uint8_t>& memo = scratch.memo;
-  if (fast) memo.assign(na * nb, 0);
+  memo.assign(na * nb, 0);
   auto mergeable = [&](std::size_t i, std::size_t j) {
-    if (!fast) return nodes_mergeable(a[i], b[j], false, pc);
     std::uint8_t& cell = memo[i * nb + j];
     if (cell != 0) {
       if (pc != nullptr) ++pc->merge_memo_hits;
       return cell == 1;
     }
-    const bool ok = nodes_mergeable(a[i], b[j], true, pc);
+    const bool ok = nodes_mergeable(a[i], b[j], pc);
     cell = ok ? 1 : 2;
     return ok;
   };
@@ -221,9 +228,12 @@ std::vector<TraceNode> inter_merge(std::vector<TraceNode> a,
 void append_online(std::vector<TraceNode>& online,
                    std::vector<TraceNode> interval, int max_window,
                    PerfCounters* pc) {
+  // One rolling prefix for the whole interval: built once over the online
+  // trace by the first fold, then extended per appended node.
+  FoldState state;
   for (auto& node : interval) {
     online.push_back(std::move(node));
-    fold_tail(online, max_window, pc);
+    fold_tail(online, max_window, pc, &state);
   }
 }
 

@@ -20,12 +20,20 @@ struct PerfCounters;
 
 /// Merge two compressed sequences into one. Commutative up to the order of
 /// spliced unmatched runs (a's runs precede b's at equal positions).
-/// Candidate pairs are prechecked against cached merge-class hashes and the
-/// mergeability verdicts are memoized across the DP fill and the backtrack;
-/// `pc` (optional) receives the precheck/memo counters.
+/// Equal-length sequences whose diagonal pairs are all mergeable are zipped
+/// in O(n) (the weak-scaled SPMD case); everything else falls back to
+/// lcs_merge. `pc` (optional) receives the precheck/memo/zip counters.
 std::vector<TraceNode> inter_merge(std::vector<TraceNode> a,
                                    std::vector<TraceNode> b,
                                    PerfCounters* pc = nullptr);
+
+/// The general O(n^2) merge inter_merge falls back to: an LCS over
+/// mergeability. Candidate pairs are prechecked against cached merge-class
+/// hashes and the verdicts are memoized across the DP fill and the
+/// backtrack. Wherever the zip fires it yields the same sequence.
+std::vector<TraceNode> lcs_merge(std::vector<TraceNode> a,
+                                 std::vector<TraceNode> b,
+                                 PerfCounters* pc = nullptr);
 
 /// Append one interval's merged trace to the growing online trace (held at
 /// rank 0) and recompress the tail so repeated phases fold into loops —

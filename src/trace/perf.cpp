@@ -6,13 +6,6 @@
 
 namespace cham::trace {
 
-namespace {
-bool g_fast_path = true;
-}  // namespace
-
-bool fast_path_enabled() { return g_fast_path; }
-void set_fast_path_enabled(bool enabled) { g_fast_path = enabled; }
-
 void PerfCounters::add(const PerfCounters& other) {
   fold_windows_tested += other.fold_windows_tested;
   fold_hash_rejects += other.fold_hash_rejects;

@@ -4,7 +4,7 @@
 // into hash-compare-then-verify. These counters expose how often the O(1)
 // prechecks fire, how often they are wrong (hash collisions / endpoint
 // mismatches), and how much wire traffic the reductions move — the raw
-// material for `chamtrace run --perf` and bench_hotpath's JSON trajectory.
+// material for `chamtrace run --perf` and the cham.fold/merge metrics.
 //
 // Tools keep one PerfCounters block *per rank*, written only by that
 // rank's fiber, and aggregate on demand at report time. A single shared
@@ -62,12 +62,5 @@ struct PerfCounters {
 /// names, labelled with the tool. Called at report time, never on hot paths.
 void export_to_metrics(const PerfCounters& counters,
                        obs::MetricsRegistry& registry, std::string_view tool);
-
-/// Process-wide switch for the hash fast path. Disabling it restores the
-/// pre-optimization deep-comparison code paths bit-for-bit — bench_hotpath
-/// uses this to measure baseline-vs-optimized on identical inputs, and the
-/// byte-identity tests use it to prove both modes produce the same traces.
-[[nodiscard]] bool fast_path_enabled();
-void set_fast_path_enabled(bool enabled);
 
 }  // namespace cham::trace

@@ -11,7 +11,6 @@
 #include "support/arena.hpp"
 #include "support/hash.hpp"
 #include "support/logging.hpp"
-#include "trace/scale.hpp"
 
 namespace cham::trace {
 
@@ -46,24 +45,9 @@ std::string RankSection::to_string() const {
 
 namespace {
 
-/// Longest arithmetic progression starting at index `from` in the sorted,
-/// unique member vector. Returns (length, stride); length >= 1.
-std::pair<int, int> run_at(const std::vector<sim::Rank>& m, std::size_t from) {
-  if (from + 1 >= m.size()) return {1, 1};
-  const int stride = m[from + 1] - m[from];
-  int len = 2;
-  while (from + static_cast<std::size_t>(len) < m.size() &&
-         m[from + static_cast<std::size_t>(len)] -
-                 m[from + static_cast<std::size_t>(len) - 1] ==
-             stride) {
-    ++len;
-  }
-  return {len, stride};
-}
-
-/// Pass 2 of the factorization, shared by the dense and sparse paths:
-/// group consecutive runs with identical shape and equally spaced starts
-/// into 2-D sections (e.g. the interior of a 2-D process grid).
+/// Pass 2 of the factorization: group consecutive runs with identical
+/// shape and equally spaced starts into 2-D sections (e.g. the interior of
+/// a 2-D process grid).
 std::vector<RankSection> group_runs(std::vector<RankSection> runs) {
   std::vector<RankSection> out;
   std::size_t r = 0;
@@ -92,11 +76,11 @@ std::vector<RankSection> group_runs(std::vector<RankSection> runs) {
   return out;
 }
 
-/// Streaming builder producing the same greedy run decomposition run_at
-/// yields on the materialized member vector: a singleton run adopts the
-/// next member unconditionally (fixing the stride), a longer run extends
-/// only on a matching stride. push_run() feeds a whole arithmetic
-/// progression in O(1) amortized instead of member-by-member.
+/// Streaming builder producing the greedy run decomposition of an ascending
+/// member stream: a singleton run adopts the next member unconditionally
+/// (fixing the stride), a longer run extends only on a matching stride.
+/// push_run() feeds a whole arithmetic progression in O(1) amortized
+/// instead of member-by-member.
 class RunBuilder {
  public:
   void push(sim::Rank r) {
@@ -368,11 +352,7 @@ std::vector<RankRun> runs_of_members(const std::vector<sim::Rank>& members) {
 
 RankList RankList::single(sim::Rank r) {
   RankList list;
-  if (scale_options().sparse_ranklists) {
-    list.interned_ = intern_singleton(r);
-  } else {
-    list.members_.push_back(r);
-  }
+  list.interned_ = intern_singleton(r);
   return list;
 }
 
@@ -381,11 +361,7 @@ RankList RankList::from_ranks(std::vector<sim::Rank> ranks) {
   ranks.erase(std::unique(ranks.begin(), ranks.end()), ranks.end());
   RankList list;
   if (ranks.empty()) return list;
-  if (scale_options().sparse_ranklists) {
-    list.interned_ = intern_runs(runs_of_members(ranks));
-  } else {
-    list.members_ = std::move(ranks);
-  }
+  list.interned_ = intern_runs(runs_of_members(ranks));
   return list;
 }
 
@@ -401,32 +377,8 @@ RankList RankList::from_runs(std::vector<RankRun> runs) {
 
 void RankList::merge(const RankList& other) {
   if (other.empty()) return;
-  if (empty()) {
-    *this = other;
-    return;
-  }
-  if (interned_ != nullptr && other.interned_ != nullptr) {
-    interned_ = union_interned(interned_, other.interned_);
-    return;
-  }
-  if (interned_ == nullptr && other.interned_ == nullptr) {
-    // Seed path, unchanged: dense set_union.
-    std::vector<sim::Rank> merged;
-    merged.reserve(members_.size() + other.members_.size());
-    std::set_union(members_.begin(), members_.end(), other.members_.begin(),
-                   other.members_.end(), std::back_inserter(merged));
-    members_ = std::move(merged);
-    return;
-  }
-  // Mixed modes only occur across a scale-options flip (tests); union the
-  // materialized members and re-store under the current options.
-  std::vector<sim::Rank> mine = members();
-  std::vector<sim::Rank> theirs = other.members();
-  std::vector<sim::Rank> merged;
-  merged.reserve(mine.size() + theirs.size());
-  std::set_union(mine.begin(), mine.end(), theirs.begin(), theirs.end(),
-                 std::back_inserter(merged));
-  *this = from_ranks(std::move(merged));
+  interned_ = empty() ? other.interned_
+                      : union_interned(interned_, other.interned_);
 }
 
 RankList RankList::intersect(const RankList& a, const RankList& b) {
@@ -440,8 +392,7 @@ RankList RankList::intersect(const RankList& a, const RankList& b) {
 }
 
 bool RankList::contains(sim::Rank r) const {
-  if (interned_ == nullptr)
-    return std::binary_search(members_.begin(), members_.end(), r);
+  if (interned_ == nullptr) return false;
   // Binary search for the last run starting at or before r.
   const RankRun* runs = interned_->runs;
   std::uint32_t lo = 0, hi = interned_->nruns;
@@ -460,37 +411,25 @@ bool RankList::contains(sim::Rank r) const {
 }
 
 std::vector<sim::Rank> RankList::members() const {
-  if (interned_ == nullptr) return members_;
   std::vector<sim::Rank> out;
-  out.reserve(interned_->count);
+  out.reserve(count());
   for_each_member([&](sim::Rank r) { out.push_back(r); });
   return out;
 }
 
 sim::Rank RankList::first() const {
   CHAM_CHECK_MSG(!empty(), "first() on empty ranklist");
-  return interned_ != nullptr ? interned_->runs[0].start : members_.front();
+  return interned_->runs[0].start;
 }
 
 std::vector<RankSection> RankList::sections() const {
-  if (interned_ != nullptr) return interned_->sections;
-  // Pass 1: factor into maximal 1-D arithmetic progressions.
-  std::vector<RankSection> runs;
-  std::size_t i = 0;
-  while (i < members_.size()) {
-    auto [len, stride] = run_at(members_, i);
-    RankSection sec;
-    sec.start = members_[i];
-    if (len > 1) sec.dims.push_back({len, stride});
-    runs.push_back(std::move(sec));
-    i += static_cast<std::size_t>(len);
-  }
-  return group_runs(std::move(runs));
+  if (interned_ == nullptr) return {};
+  return interned_->sections;
 }
 
 std::size_t RankList::footprint_bytes() const {
-  if (interned_ != nullptr) return interned_->footprint;
-  return footprint_of_sections(sections());
+  return interned_ != nullptr ? interned_->footprint
+                              : footprint_of_sections({});
 }
 
 std::string RankList::to_string() const {
@@ -505,13 +444,7 @@ std::string RankList::to_string() const {
 }
 
 bool RankList::operator==(const RankList& other) const {
-  if (interned_ != nullptr && other.interned_ != nullptr)
-    return interned_ == other.interned_;  // canonical: same set <=> same entry
-  if (interned_ == nullptr && other.interned_ == nullptr)
-    return members_ == other.members_;
-  // Mixed modes (tests flipping scale options): compare member streams.
-  if (count() != other.count()) return false;
-  return members() == other.members();
+  return interned_ == other.interned_;  // canonical: same set <=> same entry
 }
 
 RankListInternStats ranklist_intern_stats() {

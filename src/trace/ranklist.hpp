@@ -5,23 +5,14 @@
 // near-constant-size encoding of the regular rank patterns SPMD codes
 // produce (rows, columns, sub-lattices).
 //
-// Two storage modes share this interface (trace/scale.hpp):
-//
-//   * Dense (seed semantics, sparse_ranklists off): the exact member set as
-//     a sorted unique vector, lazily factored into sections for
-//     serialization — the pre-ChamScale representation, kept bit-for-bit.
-//   * Sparse (sparse_ranklists on): the canonical greedy run factorization
-//     <start, length, stride>+ held in a global intern table. Identical
-//     member sets share one interned entry, equality is a pointer compare,
-//     unions of previously-seen pairs come from a memo, and the factored
-//     sections/footprint are computed once per distinct set. This is what
-//     keeps the protocol's per-rank cluster-table copies O(clusters)
-//     instead of O(members) at 64k ranks.
-//
-// The sparse runs are exactly pass 1 of the dense factorization (maximal
-// arithmetic progressions, greedily from the lowest member), so both modes
-// produce identical sections() and identical wire bytes — the property the
-// `ctest -L scale` differential suites pin down.
+// A RankList holds the canonical greedy run factorization <start, length,
+// stride>+ in a global intern table. Identical member sets share one
+// interned entry, equality is a pointer compare, unions of previously-seen
+// pairs come from a memo, and the factored sections/footprint are computed
+// once per distinct set. This is what keeps the protocol's per-rank
+// cluster-table copies O(clusters) instead of O(members) at 64k ranks.
+// The runs are exactly pass 1 of the section factorization (maximal
+// arithmetic progressions, greedily from the lowest member).
 #pragma once
 
 #include <cstdint>
@@ -79,7 +70,7 @@ class RankList {
   RankList() = default;
   static RankList single(sim::Rank r);
   static RankList from_ranks(std::vector<sim::Rank> ranks);
-  /// Build from sorted, pairwise-disjoint runs (the serializer's sparse
+  /// Build from sorted, pairwise-disjoint runs (the serializer's run
   /// decode path). Canonicalizes run boundaries in O(runs).
   static RankList from_runs(std::vector<RankRun> runs);
 
@@ -91,43 +82,35 @@ class RankList {
 
   [[nodiscard]] bool contains(sim::Rank r) const;
   [[nodiscard]] std::size_t count() const {
-    return interned_ != nullptr ? interned_->count : members_.size();
+    return interned_ != nullptr ? interned_->count : 0;
   }
   [[nodiscard]] bool empty() const { return count() == 0; }
 
-  /// Materialized member vector, ascending. O(members) in sparse mode —
-  /// use for_each_member (or runs()) on hot paths.
+  /// Materialized member vector, ascending. O(members) — use
+  /// for_each_member (or runs()) on hot paths.
   [[nodiscard]] std::vector<sim::Rank> members() const;
 
   /// Visit members in ascending order without materializing them.
   /// `fn` returning bool stops early on false; void-returning fn visits all.
   template <typename Fn>
   void for_each_member(Fn&& fn) const {
-    if (interned_ != nullptr) {
-      for (std::uint32_t i = 0; i < interned_->nruns; ++i) {
-        const RankRun& run = interned_->runs[i];
-        for (std::int32_t k = 0; k < run.len; ++k) {
-          if (!visit(fn, run.start + k * run.stride)) return;
-        }
+    for (const RankRun& run : runs()) {
+      for (std::int32_t k = 0; k < run.len; ++k) {
+        if (!visit(fn, run.start + k * run.stride)) return;
       }
-      return;
-    }
-    for (const sim::Rank r : members_) {
-      if (!visit(fn, r)) return;
     }
   }
 
   [[nodiscard]] sim::Rank first() const;
 
-  /// The canonical run factorization (sparse mode only; empty span in
-  /// dense mode — callers needing runs regardless should use sections()).
+  /// The canonical run factorization (empty span for an empty list).
   [[nodiscard]] std::span<const RankRun> runs() const {
     if (interned_ == nullptr) return {};
     return {interned_->runs, interned_->nruns};
   }
 
-  /// Opaque intern identity: non-null iff sparse, equal iff same member
-  /// set. Exposed for the intern-table invariant tests and bench stats.
+  /// Opaque intern identity: null iff empty, equal iff same member set.
+  /// Exposed for the intern-table invariant tests and bench stats.
   [[nodiscard]] const void* intern_id() const { return interned_; }
 
   /// Greedy factorization into 1-D/2-D sections (the serialized form).
@@ -151,10 +134,7 @@ class RankList {
     }
   }
 
-  // Exactly one of these is populated for a non-empty list: the dense
-  // member vector (seed semantics) or the interned canonical runs.
-  std::vector<sim::Rank> members_;
-  const detail::InternedRuns* interned_ = nullptr;
+  const detail::InternedRuns* interned_ = nullptr;  ///< null iff empty
 };
 
 /// Intern-table telemetry for bench_scale and the scale test suite.
@@ -174,7 +154,7 @@ struct RankListInternStats {
 void ranklist_intern_ensure_world(int nprocs);
 
 /// Drop the whole intern table and its arena (bulk teardown between bench
-/// runs / tests). Every sparse RankList must be dead — interned pointers
+/// runs / tests). Every non-empty RankList must be dead — interned pointers
 /// dangle after this.
 void ranklist_intern_reset();
 

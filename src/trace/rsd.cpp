@@ -19,29 +19,22 @@ const std::uint64_t* seq_powers(std::size_t limit) {
 /// polynomial hash over the node sequence (same kShapeSeqBase scheme as
 /// TraceNode::body_seq) makes every window test an O(1) compare; only
 /// windows whose hashes match are deep-verified, so a hash collision can
-/// cost time but never a wrong fold. With a persistent FoldState the prefix
-/// array carries over between calls and is maintained incrementally (one
-/// entry per append, one truncate-and-push per fold); without one, the tail
-/// region the rules can touch is rebuilt per pass. With the fast path
-/// disabled the folder runs the original deep comparisons — both modes take
-/// identical fold decisions and produce byte-identical traces.
+/// cost time but never a wrong fold. The prefix array lives in a FoldState
+/// and is maintained incrementally (one entry per append, one
+/// truncate-and-push per fold).
 class TailFolder {
  public:
-  TailFolder(std::vector<TraceNode>& nodes, std::size_t limit, bool fast,
-             PerfCounters* pc, FoldState* state)
-      : nodes_(nodes), limit_(limit), fast_(fast), pc_(pc),
-        state_(fast ? state : nullptr),
-        powers_(fast ? seq_powers(limit) : nullptr) {
-    if (state != nullptr && !fast) state->clear();  // do not survive a toggle
-  }
+  TailFolder(std::vector<TraceNode>& nodes, std::size_t limit,
+             PerfCounters* pc, FoldState& state)
+      : nodes_(nodes), limit_(limit), pc_(pc), state_(state),
+        powers_(seq_powers(limit)) {}
 
   int run() {
-    if (state_ != nullptr) sync_state();
+    sync_state();
     int folds = 0;
     bool folded = true;
     while (folded) {
       folded = false;
-      if (fast_ && state_ == nullptr) rebuild_tail_hashes();
       for (std::size_t len = 1; len <= limit_ && len <= nodes_.size(); ++len) {
         if (try_increment_loop(len) || try_fold_pair(len)) {
           folded = true;
@@ -55,12 +48,12 @@ class TailFolder {
   }
 
  private:
-  /// Bring the persistent prefix in line with the node sequence: extend by
-  /// one entry after a plain append (the overwhelmingly common case), leave
-  /// alone when already aligned, rebuild from scratch otherwise (first call
-  /// or the sequence was mutated externally).
+  /// Bring the prefix in line with the node sequence: extend by one entry
+  /// after a plain append (the overwhelmingly common case), leave alone
+  /// when already aligned, rebuild from scratch otherwise (first call or
+  /// the sequence was mutated externally).
   void sync_state() {
-    std::vector<std::uint64_t>& prefix = state_->prefix;
+    std::vector<std::uint64_t>& prefix = state_.prefix;
     if (prefix.size() == nodes_.size() + 1) return;
     if (!prefix.empty() && prefix.size() == nodes_.size()) {
       extend_prefix(nodes_.size() - 1);
@@ -74,41 +67,21 @@ class TailFolder {
   void extend_prefix(std::size_t k) {
     TraceNode& node = nodes_[k];
     if (!node.hashed()) node.rehash_deep();
-    state_->prefix.push_back(state_->prefix[k] * kShapeSeqBase +
-                             node.shape_hash);
+    state_.prefix.push_back(state_.prefix[k] * kShapeSeqBase +
+                            node.shape_hash);
   }
 
-  /// Non-persistent mode: recompute the rolling prefix hashes over the tail
-  /// region the fold rules can touch (the last 2*limit windows). prefix_[k]
-  /// combines the shape hashes of nodes_[base_ .. base_+k); window hashes
-  /// derived from it are independent of base_, so they compare against each
-  /// other and against loop body_seq values directly.
-  void rebuild_tail_hashes() {
-    const std::size_t region = std::min(nodes_.size(), 2 * limit_ + 1);
-    base_ = nodes_.size() - region;
-    prefix_.assign(region + 1, 0);
-    for (std::size_t k = 0; k < region; ++k) {
-      TraceNode& node = nodes_[base_ + k];
-      if (!node.hashed()) node.rehash_deep();
-      prefix_[k + 1] = prefix_[k] * kShapeSeqBase + node.shape_hash;
-    }
-  }
-
-  /// Polynomial hash of the window nodes_[at, at+len); at must be >= base_.
+  /// Polynomial hash of the window nodes_[at, at+len).
   [[nodiscard]] std::uint64_t window_hash(std::size_t at,
                                           std::size_t len) const {
-    const std::vector<std::uint64_t>& prefix =
-        state_ != nullptr ? state_->prefix : prefix_;
-    const std::size_t i = at - (state_ != nullptr ? 0 : base_);
-    return prefix[i + len] - prefix[i] * powers_[len];
+    return state_.prefix[at + len] - state_.prefix[at] * powers_[len];
   }
 
   /// After a fold rewrote the tail so that nodes_[at] is now the (hashed)
   /// last node: discard the prefix entries the fold invalidated and append
   /// the entry for the new tail node.
   void refold_prefix(std::size_t at) {
-    if (state_ == nullptr) return;  // next rebuild_tail_hashes() covers it
-    state_->prefix.resize(at + 1);
+    state_.prefix.resize(at + 1);
     extend_prefix(at);
   }
 
@@ -126,21 +99,17 @@ class TailFolder {
   bool windows_match(std::uint64_t lhs_hash, const std::vector<TraceNode>& lhs,
                      std::size_t lhs_at, std::size_t rhs_at, std::size_t len) {
     if (pc_ != nullptr) ++pc_->fold_windows_tested;
-    if (fast_) {
-      if (lhs_hash != window_hash(rhs_at, len)) {
-        if (pc_ != nullptr) ++pc_->fold_hash_rejects;
-        return false;
-      }
-      if (pc_ != nullptr) {
-        ++pc_->fold_hash_hits;
-        ++pc_->fold_deep_compares;
-      }
-      const bool ok = deep_equal(lhs_at, rhs_at, len, lhs);
-      if (!ok && pc_ != nullptr) ++pc_->fold_false_positives;
-      return ok;
+    if (lhs_hash != window_hash(rhs_at, len)) {
+      if (pc_ != nullptr) ++pc_->fold_hash_rejects;
+      return false;
     }
-    if (pc_ != nullptr) ++pc_->fold_deep_compares;
-    return deep_equal(lhs_at, rhs_at, len, lhs);
+    if (pc_ != nullptr) {
+      ++pc_->fold_hash_hits;
+      ++pc_->fold_deep_compares;
+    }
+    const bool ok = deep_equal(lhs_at, rhs_at, len, lhs);
+    if (!ok && pc_ != nullptr) ++pc_->fold_false_positives;
+    return ok;
   }
 
   /// Rule (a): the loop node right before the last `len` nodes has a body
@@ -167,8 +136,8 @@ class TailFolder {
     if (nodes_.size() < 2 * len) return false;
     const std::size_t first = nodes_.size() - 2 * len;
     const std::size_t second = nodes_.size() - len;
-    const std::uint64_t first_hash = fast_ ? window_hash(first, len) : 0;
-    if (!windows_match(first_hash, nodes_, first, second, len)) return false;
+    if (!windows_match(window_hash(first, len), nodes_, first, second, len))
+      return false;
     std::vector<TraceNode> body;
     body.reserve(len);
     for (std::size_t i = 0; i < len; ++i) {
@@ -184,12 +153,9 @@ class TailFolder {
 
   std::vector<TraceNode>& nodes_;
   std::size_t limit_;
-  bool fast_;
   PerfCounters* pc_;
-  FoldState* state_;
+  FoldState& state_;
   const std::uint64_t* powers_;
-  std::size_t base_ = 0;
-  std::vector<std::uint64_t> prefix_;  ///< non-persistent tail-region mode
 };
 
 }  // namespace
@@ -199,8 +165,9 @@ int fold_tail(std::vector<TraceNode>& nodes, int max_window, PerfCounters* pc,
   // A non-positive window means "no folding", not "unbounded": the old
   // static_cast turned negative windows into a near-infinite limit.
   if (max_window <= 0) return 0;
-  TailFolder folder(nodes, static_cast<std::size_t>(max_window),
-                    fast_path_enabled(), pc, state);
+  FoldState local;
+  TailFolder folder(nodes, static_cast<std::size_t>(max_window), pc,
+                    state != nullptr ? *state : local);
   return folder.run();
 }
 

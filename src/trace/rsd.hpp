@@ -27,9 +27,8 @@ struct PerfCounters;
 /// growing node sequence. `prefix[k]` is the kShapeSeqBase-polynomial
 /// combination of nodes[0..k) shape hashes; fold_tail keeps it aligned with
 /// the sequence incrementally (O(1) per append and per fold) instead of
-/// rebuilding the tail window hashes on every call. Owned by IntraTrace;
-/// callers that mutate the node sequence behind fold_tail's back must
-/// clear() it.
+/// rebuilding it on every call. Owned by IntraTrace; callers that mutate
+/// the node sequence behind fold_tail's back must clear() it.
 struct FoldState {
   std::vector<std::uint64_t> prefix;
   void clear() { prefix.clear(); }
@@ -41,7 +40,8 @@ struct FoldState {
 /// performed. Window candidates are prechecked against rolling shape
 /// hashes and only deep-compared on a hash match; `pc` (optional) receives
 /// the precheck/verify counters and `state` (optional) carries the rolling
-/// prefix hashes across calls.
+/// prefix hashes across calls. Without a state the prefix is built for this
+/// call alone, linear in the sequence length.
 int fold_tail(std::vector<TraceNode>& nodes, int max_window,
               PerfCounters* pc = nullptr, FoldState* state = nullptr);
 

@@ -2,8 +2,6 @@
 
 #include <cstring>
 
-#include "trace/scale.hpp"
-
 namespace cham::trace {
 
 void ByteWriter::u16(std::uint16_t v) {
@@ -184,11 +182,10 @@ RankList decode_ranklist(ByteReader& r) {
       throw DecodeError("ranklist expansion exceeds member cap");
     sections.push_back(std::move(sec));
   }
-  if (scale_options().sparse_ranklists) {
-    std::vector<RankRun> runs;
-    if (runs_from_sections(sections, runs))
-      return RankList::from_runs(std::move(runs));
-  }
+  std::vector<RankRun> runs;
+  if (runs_from_sections(sections, runs))
+    return RankList::from_runs(std::move(runs));
+  // Legacy or hostile shapes the run path refuses: expand exactly.
   std::vector<sim::Rank> ranks;
   ranks.reserve(total);
   for (const auto& sec : sections) sec.expand_into(ranks);

@@ -7,7 +7,6 @@
 #include "obs/timeline.hpp"
 #include "sim/mpi.hpp"
 #include "support/logging.hpp"
-#include "trace/scale.hpp"
 #include "trace/serialize.hpp"
 
 namespace cham::trace {
@@ -32,9 +31,9 @@ ScalaTraceTool::ScalaTraceTool(int nprocs, CallSiteRegistry* stacks,
   CHAM_CHECK_MSG(stacks_ != nullptr, "tracer needs a call-site registry");
   CHAM_CHECK_MSG(stacks_->nprocs() == nprocs,
                  "registry size must match world size");
-  // Pre-install per-rank singleton ranklists while still pre-fiber (no-op
-  // when sparse ranklists are off): every event record starts as single(r).
-  if (scale_options().sparse_ranklists) ranklist_intern_ensure_world(nprocs);
+  // Pre-install per-rank singleton ranklists while still pre-fiber: every
+  // event record starts as single(r).
+  ranklist_intern_ensure_world(nprocs);
   rank_perf_.resize(static_cast<std::size_t>(nprocs));
   rank_merge_ops_.assign(static_cast<std::size_t>(nprocs), 0);
   rank_merge_bytes_.assign(static_cast<std::size_t>(nprocs), 0);

@@ -5,8 +5,8 @@
 
 #include "analysis/verifier.hpp"
 #include "sim/engine.hpp"
-#include "sim/fiber.hpp"
 #include "sim/mpi.hpp"
+#include "sim/shard.hpp"
 #include "trace/callsite.hpp"
 
 namespace cham::analysis {

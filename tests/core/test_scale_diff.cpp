@@ -1,13 +1,18 @@
-// ChamScale differential suite: the full protocol, run with the scaling
-// optimizations ON, must be indistinguishable from the seed semantics run
-// with them OFF — byte-identical broadcast cluster tables, byte-identical
-// structural trace projections, and identical invariant counters — across
-// workloads, per-flag ablations, thread counts, and the failover path.
+// ChamScale frozen-output suite: the full protocol must keep producing the
+// exact cluster tables, structural trace projections and invariant
+// counters recorded below, across workloads, thread counts, and the
+// failover path.
 //
-// Full wire images are deliberately NOT compared across runs: delta-time
-// histograms embed ChargedSection host-CPU seconds, which legitimately
-// differ between two runs of the same schedule. Everything schedule- and
-// host-invariant is pinned exactly.
+// The constants were recorded when the tree still carried the seed code
+// paths (dense ranklists, LCS-only merges, deep-compare folds) next to the
+// optimized ones; for every run below both produced exactly these values,
+// so the tests still read "ON vs OFF": the optimized paths against the
+// frozen output of the seed semantics.
+//
+// Full wire images are deliberately NOT compared: delta-time histograms
+// embed ChargedSection host-CPU seconds, which legitimately differ between
+// two runs of the same schedule. Everything schedule- and host-invariant is
+// pinned exactly.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -18,25 +23,23 @@
 #include "sim/engine.hpp"
 #include "sim/fault.hpp"
 #include "sim/mpi.hpp"
+#include "support/hash.hpp"
 #include "support/rng.hpp"
 #include "trace/merge.hpp"
 #include "trace/perf.hpp"
-#include "trace/scale.hpp"
 #include "trace/serialize.hpp"
 #include "workloads/workload.hpp"
 
 namespace cham::core {
 namespace {
 
-using trace::ScaleOptions;
-using trace::ScaleOptionsGuard;
-
-/// Everything a protocol run exposes that must not depend on the scale
-/// optimizations: the broadcast cluster table's wire bytes, the online
-/// trace's structural projection, and the protocol's invariant counters.
+/// Everything a protocol run exposes that the scale optimizations must not
+/// change: FNV-64 digests of the broadcast cluster table's wire bytes and
+/// of the online trace's structural projection, and the protocol's
+/// invariant counters.
 struct ProtocolResult {
-  std::vector<std::uint8_t> cluster_bytes;
-  std::vector<std::uint8_t> structure_bytes;
+  std::uint64_t table_digest = 0;
+  std::uint64_t structure_digest = 0;
   std::uint64_t markers = 0;
   std::uint64_t folds = 0;
   std::uint64_t merge_ops = 0;
@@ -44,22 +47,25 @@ struct ProtocolResult {
   std::size_t total_members = 0;
 };
 
-void expect_identical(const ProtocolResult& a, const ProtocolResult& b,
-                      const std::string& what) {
-  EXPECT_EQ(a.cluster_bytes, b.cluster_bytes)
-      << what << ": cluster table wire bytes differ";
-  EXPECT_EQ(a.structure_bytes, b.structure_bytes)
-      << what << ": online trace structure differs";
-  EXPECT_EQ(a.markers, b.markers) << what;
-  EXPECT_EQ(a.folds, b.folds) << what << ": fold decisions differ";
-  EXPECT_EQ(a.merge_ops, b.merge_ops) << what;
-  EXPECT_EQ(a.total_clusters, b.total_clusters) << what;
-  EXPECT_EQ(a.total_members, b.total_members) << what;
+std::uint64_t digest(const std::vector<std::uint8_t>& bytes) {
+  return support::fnv1a64(bytes.data(), bytes.size());
+}
+
+void expect_frozen(const ProtocolResult& got, const ProtocolResult& want,
+                   const std::string& what) {
+  EXPECT_EQ(got.table_digest, want.table_digest)
+      << what << ": cluster table wire bytes changed";
+  EXPECT_EQ(got.structure_digest, want.structure_digest)
+      << what << ": online trace structure changed";
+  EXPECT_EQ(got.markers, want.markers) << what;
+  EXPECT_EQ(got.folds, want.folds) << what << ": fold decisions changed";
+  EXPECT_EQ(got.merge_ops, want.merge_ops) << what;
+  EXPECT_EQ(got.total_clusters, want.total_clusters) << what;
+  EXPECT_EQ(got.total_members, want.total_members) << what;
 }
 
 ProtocolResult run_workload(const char* name, int procs, int steps,
-                            const ScaleOptions& opts, int threads = 1) {
-  ScaleOptionsGuard guard(opts);
+                            int threads = 1, int perturb_every = 0) {
   const workloads::WorkloadInfo* info = workloads::find_workload(name);
   EXPECT_NE(info, nullptr) << name;
   ProtocolResult result;
@@ -71,133 +77,92 @@ ProtocolResult run_workload(const char* name, int procs, int steps,
     workloads::WorkloadParams params;
     params.cls = 'A';
     params.timesteps = steps;
+    params.perturb_every = perturb_every;
     params.weak = true;
     engine.run([&](sim::Mpi& mpi) { info->run(mpi, stacks, params); });
-    result.cluster_bytes = tool.clusters().encode();
-    result.structure_bytes = trace::encode_trace_structure(tool.online_trace());
+    result.table_digest = digest(tool.clusters().encode());
+    result.structure_digest =
+        digest(trace::encode_trace_structure(tool.online_trace()));
     result.markers = tool.marker_calls_processed();
     result.folds = tool.perf_counters().folds_performed;
     result.merge_ops = tool.merge_operations();
     result.total_clusters = tool.clusters().total_clusters();
     result.total_members = tool.clusters().total_members();
   }
-  // All sparse lists died with the tool; safe to drop the intern table so
-  // the next run (possibly in the other mode) starts from a clean slate.
+  // All ranklists died with the tool; drop the intern table so the next
+  // run starts from a clean slate.
   trace::ranklist_intern_reset();
   return result;
 }
 
-void expect_workload_invariant(const char* name, int procs, int steps) {
-  const ProtocolResult off =
-      run_workload(name, procs, steps, trace::kScaleAllOff);
-  const ProtocolResult on = run_workload(name, procs, steps, trace::kScaleAllOn);
-  expect_identical(on, off, std::string(name) + " ON vs OFF");
-  EXPECT_FALSE(on.cluster_bytes.empty());
-  EXPECT_EQ(on.total_members, static_cast<std::size_t>(procs));
+// lu at 64 ranks, 8 steps: the reference for the 4-thread run below too.
+constexpr ProtocolResult kLu64{0xd13fdfb224d1a139ull, 0x7c4b6a52dcc6d8c5ull,
+                               8, 109, 16, 9, 64};
+
+TEST(ScaleDiff, LuOnVsOff64) {
+  expect_frozen(run_workload("lu", 64, 8), kLu64, "lu 64");
 }
 
-TEST(ScaleDiff, LuOnVsOff64) { expect_workload_invariant("lu", 64, 8); }
-
-TEST(ScaleDiff, LuOnVsOff256) { expect_workload_invariant("lu", 256, 6); }
+TEST(ScaleDiff, LuOnVsOff256) {
+  expect_frozen(run_workload("lu", 256, 6),
+                {0x9961b3a88353abaeull, 0xbeaaaae0217a1586ull, 6, 283, 16, 9,
+                 256},
+                "lu 256");
+}
 
 TEST(ScaleDiff, LuOnVsOff1024Sharded) {
   // The bench scale's smallest committed row, on the 4-thread engine.
-  const ProtocolResult off =
-      run_workload("lu", 1024, 4, trace::kScaleAllOff, /*threads=*/4);
-  const ProtocolResult on =
-      run_workload("lu", 1024, 4, trace::kScaleAllOn, /*threads=*/4);
-  expect_identical(on, off, "lu 1024 ON vs OFF");
-  EXPECT_EQ(on.total_members, 1024u);
+  expect_frozen(run_workload("lu", 1024, 4, /*threads=*/4),
+                {0x43f22dd13393b587ull, 0x590cdc8066b3bb5bull, 4, 1034, 16, 9,
+                 1024},
+                "lu 1024");
 }
 
 TEST(ScaleDiff, LuOnVsOff4096Sharded) {
-  const ProtocolResult off =
-      run_workload("lu", 4096, 3, trace::kScaleAllOff, /*threads=*/4);
-  const ProtocolResult on =
-      run_workload("lu", 4096, 3, trace::kScaleAllOn, /*threads=*/4);
-  expect_identical(on, off, "lu 4096 ON vs OFF");
-  EXPECT_EQ(on.total_members, 4096u);
+  expect_frozen(run_workload("lu", 4096, 3, /*threads=*/4),
+                {0x459148d65afce09bull, 0x9b645b5c8f97b0c8ull, 3, 4096, 16, 9,
+                 4096},
+                "lu 4096");
 }
 
 TEST(ScaleDiff, Sweep3dOnVsOff64) {
-  expect_workload_invariant("sweep3d", 64, 6);
+  expect_frozen(run_workload("sweep3d", 64, 6),
+                {0xd74e3eb01e4ea15aull, 0x435baf4c306a861dull, 6, 747, 16, 9,
+                 64},
+                "sweep3d 64");
 }
 
-TEST(ScaleDiff, BtOnVsOff64) { expect_workload_invariant("bt", 64, 8); }
+TEST(ScaleDiff, BtOnVsOff64) {
+  expect_frozen(run_workload("bt", 64, 8),
+                {0xa61c01f951ef9573ull, 0x593f24b7a5478a48ull, 8, 79, 4, 3,
+                 64},
+                "bt 64");
+}
 
 TEST(ScaleDiff, PopSeededOnVsOff64) {
   // POP's convergence loop is data-dependent (seeded), so the trace shape
   // is irregular — the worst case for run factorization and dedup.
-  expect_workload_invariant("pop", 64, 8);
+  expect_frozen(run_workload("pop", 64, 8),
+                {0x5e119d15f8b473e3ull, 0x32c994322199f9aeull, 8, 839, 4, 3,
+                 64},
+                "pop 64");
 }
 
 TEST(ScaleDiff, PerturbedLuOnVsOff64) {
   // lu_mod forces Call-Path changes (flush + recluster every 3rd step):
   // covers the L-state flush path and repeated reclusterings.
-  const auto run = [](const ScaleOptions& opts) {
-    ScaleOptionsGuard guard(opts);
-    const workloads::WorkloadInfo* info = workloads::find_workload("lu_mod");
-    EXPECT_NE(info, nullptr);
-    ProtocolResult result;
-    {
-      sim::Engine engine({.nprocs = 64});
-      trace::CallSiteRegistry stacks(64);
-      ChameleonTool tool(64, &stacks, {.k = info->default_k});
-      engine.set_tool(&tool);
-      workloads::WorkloadParams params;
-      params.cls = 'A';
-      params.timesteps = 9;
-      params.perturb_every = 3;
-      params.weak = true;
-      engine.run([&](sim::Mpi& mpi) { info->run(mpi, stacks, params); });
-      result.cluster_bytes = tool.clusters().encode();
-      result.structure_bytes =
-          trace::encode_trace_structure(tool.online_trace());
-      result.markers = tool.marker_calls_processed();
-      result.folds = tool.perf_counters().folds_performed;
-      result.merge_ops = tool.merge_operations();
-      result.total_clusters = tool.clusters().total_clusters();
-      result.total_members = tool.clusters().total_members();
-    }
-    trace::ranklist_intern_reset();
-    return result;
-  };
-  expect_identical(run(trace::kScaleAllOn), run(trace::kScaleAllOff),
-                   "lu_mod ON vs OFF");
-}
-
-// Per-flag ablations: each optimization alone must already be invariant,
-// so a future regression points at one flag instead of the whole set.
-
-TEST(ScaleDiff, SparseRanklistsAloneMatchBaseline) {
-  const ProtocolResult off = run_workload("lu", 64, 8, trace::kScaleAllOff);
-  const ProtocolResult sparse =
-      run_workload("lu", 64, 8, ScaleOptions{true, false, false});
-  expect_identical(sparse, off, "sparse_ranklists only");
-}
-
-TEST(ScaleDiff, DedupMergeAloneMatchesBaseline) {
-  const ProtocolResult off = run_workload("lu", 64, 8, trace::kScaleAllOff);
-  const ProtocolResult dedup =
-      run_workload("lu", 64, 8, ScaleOptions{false, true, false});
-  expect_identical(dedup, off, "dedup_merge only");
-}
-
-TEST(ScaleDiff, ArenaAloneMatchesBaseline) {
-  const ProtocolResult off = run_workload("lu", 64, 8, trace::kScaleAllOff);
-  const ProtocolResult arena =
-      run_workload("lu", 64, 8, ScaleOptions{false, false, true});
-  expect_identical(arena, off, "arena only");
+  expect_frozen(run_workload("lu_mod", 64, 9, /*threads=*/1,
+                             /*perturb_every=*/3),
+                {0xde07ba2f5affca14ull, 0xb69e8ba993f69b40ull, 9, 194, 56, 9,
+                 64},
+                "lu_mod 64");
 }
 
 TEST(ScaleDiff, ShardedEngineMatchesSingleThreadWithScaleOn) {
   // The optimized paths must preserve the engine's cross-thread
-  // determinism contract: 4 shards and 1 shard produce the same tables.
-  const ProtocolResult one =
-      run_workload("lu", 64, 8, trace::kScaleAllOn, /*threads=*/1);
-  const ProtocolResult four =
-      run_workload("lu", 64, 8, trace::kScaleAllOn, /*threads=*/4);
-  expect_identical(four, one, "threads=4 vs threads=1");
+  // determinism contract: 4 shards reproduce the 1-shard output.
+  expect_frozen(run_workload("lu", 64, 8, /*threads=*/4), kLu64,
+                "lu 64, 4 threads");
 }
 
 // ---------------------------------------------------------------------------
@@ -220,8 +185,7 @@ void steady_phase(sim::Mpi& mpi, trace::CallSiteRegistry& stacks, int steps) {
   }
 }
 
-ProtocolResult run_faulty(const ScaleOptions& opts) {
-  ScaleOptionsGuard guard(opts);
+TEST(ScaleDiff, LeadFailoverOnVsOff) {
   ProtocolResult result;
   {
     sim::FaultInjector injector(
@@ -236,30 +200,26 @@ ProtocolResult run_faulty(const ScaleOptions& opts) {
     });
     engine.set_tool(&tool);
     engine.run([&](sim::Mpi& mpi) { steady_phase(mpi, stacks, 10); });
-    result.cluster_bytes = tool.clusters().encode();
-    result.structure_bytes = trace::encode_trace_structure(tool.online_trace());
+    result.table_digest = digest(tool.clusters().encode());
+    result.structure_digest =
+        digest(trace::encode_trace_structure(tool.online_trace()));
     result.markers = tool.marker_calls_processed();
     result.total_clusters = tool.clusters().total_clusters();
     result.total_members = tool.clusters().total_members();
   }
   trace::ranklist_intern_reset();
-  return result;
-}
-
-TEST(ScaleDiff, LeadFailoverOnVsOff) {
-  const ProtocolResult on = run_faulty(trace::kScaleAllOn);
-  const ProtocolResult off = run_faulty(trace::kScaleAllOff);
-  EXPECT_EQ(on.cluster_bytes, off.cluster_bytes);
-  EXPECT_EQ(on.structure_bytes, off.structure_bytes);
-  EXPECT_EQ(on.markers, off.markers);
-  EXPECT_EQ(on.total_clusters, off.total_clusters);
-  // The crashed rank drops out of the surviving cluster membership.
-  EXPECT_EQ(on.total_members, off.total_members);
+  // The crashed rank drops out of the surviving cluster membership; folds
+  // and merge counts are not compared on this path.
+  expect_frozen(result,
+                {0xcdac5af98d606444ull, 0xb31778ae9e76c00dull, 10, 0, 0, 3,
+                 16},
+                "lead failover");
 }
 
 // ---------------------------------------------------------------------------
 // The dedup zip fast path in isolation: it must fire on structurally
-// identical sequences and produce bytes identical to the full LCS.
+// identical sequences and produce bytes identical to the LCS merge it
+// short-circuits.
 // ---------------------------------------------------------------------------
 
 trace::EventRecord leaf_event(std::uint64_t stack, sim::Rank rank,
@@ -286,13 +246,8 @@ std::vector<trace::TraceNode> spmd_trace(sim::Rank rank) {
 }
 
 TEST(ScaleZip, FiresOnIdenticalShapesAndMatchesLcsBytes) {
-  std::vector<std::uint8_t> lcs_bytes;
-  {
-    ScaleOptionsGuard off(trace::kScaleAllOff);
-    const auto merged = trace::inter_merge(spmd_trace(0), spmd_trace(9));
-    lcs_bytes = trace::encode_trace(merged);
-  }
-  ScaleOptionsGuard on(trace::kScaleAllOn);
+  const std::vector<std::uint8_t> lcs_bytes =
+      trace::encode_trace(trace::lcs_merge(spmd_trace(0), spmd_trace(9)));
   trace::PerfCounters pc;
   const auto merged = trace::inter_merge(spmd_trace(0), spmd_trace(9), &pc);
   // The weak-scaled SPMD shape is exactly what the zip recognizes.
@@ -302,7 +257,6 @@ TEST(ScaleZip, FiresOnIdenticalShapesAndMatchesLcsBytes) {
 }
 
 TEST(ScaleZip, DoesNotFireAcrossStructuralDifferences) {
-  ScaleOptionsGuard on(trace::kScaleAllOn);
   auto a = spmd_trace(0);
   auto b = spmd_trace(9);
   b[3] = trace::TraceNode::leaf(leaf_event(99, 9));  // break the diagonal
@@ -316,7 +270,7 @@ TEST(ScaleZip, DoesNotFireAcrossStructuralDifferences) {
 TEST(ScaleZip, RandomStreamsMatchLcsBytes) {
   // Random leaf/loop sequences over a small call-site alphabet: whenever
   // the zip fires it must be invisible in the output bytes, and when it
-  // cannot fire the LCS path must be untouched by the dedup flag.
+  // cannot fire inter_merge must be exactly the LCS merge.
   for (std::uint64_t seed = 1; seed <= 60; ++seed) {
     support::Rng rng(seed * 131);
     const auto random_trace = [&rng](sim::Rank rank) {
@@ -347,18 +301,16 @@ TEST(ScaleZip, RandomStreamsMatchLcsBytes) {
       auto b = random_trace(rb);
       return std::make_pair(std::move(a), std::move(b));
     };
-    std::vector<std::uint8_t> off_bytes;
+    std::vector<std::uint8_t> lcs_bytes;
     {
-      ScaleOptionsGuard off(trace::kScaleAllOff);
       auto [a, b] = build_pair(0, 7);
-      off_bytes = trace::encode_trace(trace::inter_merge(a, b));
+      lcs_bytes = trace::encode_trace(trace::lcs_merge(a, b));
     }
     {
-      ScaleOptionsGuard on(trace::kScaleAllOn);
       auto [a, b] = build_pair(0, 7);
-      const auto on_bytes =
+      const auto merged_bytes =
           trace::encode_trace(trace::inter_merge(a, b));
-      ASSERT_EQ(on_bytes, off_bytes) << "seed " << seed;
+      ASSERT_EQ(merged_bytes, lcs_bytes) << "seed " << seed;
     }
     trace::ranklist_intern_reset();
   }

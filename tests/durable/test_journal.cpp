@@ -135,7 +135,9 @@ TEST(Journal, EveryTruncationIsTornTailOrShorterPrefix) {
     const JournalImage parsed = parse_journal(cut, 0x77);
     EXPECT_LE(parsed.records.size(), 10u);
     if (parsed.torn_tail) ++torn_count;
-    if (keep == image.size() - 1) EXPECT_TRUE(parsed.torn_tail);
+    if (keep == image.size() - 1) {
+      EXPECT_TRUE(parsed.torn_tail);
+    }
   }
   EXPECT_GT(torn_count, 0u);
 }

@@ -4,11 +4,15 @@
 #include "obs/prof/profiler.hpp"
 
 #include <gtest/gtest.h>
+#include <sys/syscall.h>
+#include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -59,19 +63,41 @@ TEST(Prof, TimedLockGuardCountsAcquisitions) {
   EXPECT_EQ(stats.wait_ns.load(), 0u);
 }
 
+/// Kernel scheduling state of thread `tid` of this process ('R' running,
+/// 'S' sleeping, ...), from /proc/self/task/<tid>/stat; '?' if unreadable.
+char thread_state(pid_t tid) {
+  std::ifstream in("/proc/self/task/" + std::to_string(tid) + "/stat");
+  const std::string stat((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+  // "<tid> (<comm>) <state> ..." — comm may contain spaces and parentheses.
+  const std::size_t close = stat.rfind(')');
+  if (close == std::string::npos || close + 2 >= stat.size()) return '?';
+  return stat[close + 2];
+}
+
 TEST(Prof, ContendedAcquirePaysAndRecordsWait) {
   Profiler prof;
   ProfilerScope scope(&prof);
   std::mutex m;
   m.lock();
+  std::atomic<pid_t> waiter_tid{0};
   std::thread waiter([&] {
+    waiter_tid.store(static_cast<pid_t>(syscall(SYS_gettid)));
     const TimedLockGuard lock(m, LockClass::kShardQueue);
   });
-  // Hold the mutex long enough that the waiter reliably misses try_lock.
-  std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  // Hold the mutex until the waiter is provably blocked inside lock(): it
+  // has counted its acquisition (so its try_lock already failed against
+  // the held mutex) and the kernel reports it sleeping. A sleep-based hold
+  // loses this race on a loaded host. The deadline only guards against a
+  // hang; the assertions below catch a waiter that never blocked.
+  const LockStats& stats = prof.lock_stats(LockClass::kShardQueue);
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (std::chrono::steady_clock::now() < deadline &&
+         (stats.acquisitions.load() < 1 || thread_state(waiter_tid) != 'S'))
+    std::this_thread::yield();
   m.unlock();
   waiter.join();
-  const LockStats& stats = prof.lock_stats(LockClass::kShardQueue);
   EXPECT_EQ(stats.acquisitions.load(), 1u);
   EXPECT_EQ(stats.contended.load(), 1u);
   EXPECT_GT(stats.wait_ns.load(), 0u);

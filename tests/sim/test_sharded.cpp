@@ -1,12 +1,12 @@
-// ChamShard: the sharded multi-threaded fiber scheduler and its engine
-// integration (sim/shard.hpp, EngineOptions::threads).
+// ChamShard: the engine's fiber scheduler and its engine integration
+// (sim/shard.hpp, EngineOptions::threads).
 //
 // Two layers of coverage:
-//   - ShardedScheduler unit tests: fibers partitioned across real worker
-//     threads all run to completion, the wake-token protocol turns an
-//     unblock() racing a block() into an immediate return instead of a
-//     lost wakeup, and a genuine deadlock still unwinds every fiber stack
-//     before DeadlockError propagates.
+//   - ShardedScheduler unit tests, at 1, 2 and 4 shards unless a case pins
+//     a single-thread order: fibers run to completion, block/unblock hand
+//     off, exceptions and deadlocks propagate only after every fiber stack
+//     unwound, the wake-token protocol turns an unblock() racing a block()
+//     into an immediate return instead of a lost wakeup.
 //   - Engine determinism matrix: the protocol output of a (workload, P,
 //     seed) triple — per-epoch digests, the final cluster table bytes, and
 //     the --perf counter totals — must be identical at every thread count.
@@ -20,6 +20,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -36,6 +37,187 @@ namespace cham {
 namespace {
 
 constexpr std::size_t kStack = 64 * 1024;
+constexpr int kShardCounts[] = {1, 2, 4};
+
+TEST(Fiber, RunsAllToCompletion) {
+  for (const int shards : kShardCounts) {
+    SCOPED_TRACE(shards);
+    sim::ShardedScheduler sched(shards);
+    std::atomic<int> done{0};
+    for (int i = 0; i < 5; ++i)
+      sched.spawn([&done] { done.fetch_add(1, std::memory_order_relaxed); },
+                  kStack);
+    sched.run();
+    EXPECT_EQ(done.load(), 5);
+    EXPECT_EQ(sched.finished_count(), 5u);
+  }
+}
+
+TEST(Fiber, RoundRobinIsDeterministicFifo) {
+  // One shard: every epoch runs the ready fibers in rank order.
+  sim::ShardedScheduler sched(1);
+  std::vector<int> order;
+  for (int i = 0; i < 3; ++i) {
+    sched.spawn(
+        [&sched, &order, i] {
+          order.push_back(i);
+          sched.yield();
+          order.push_back(i + 10);
+        },
+        kStack);
+  }
+  sched.run();
+  const std::vector<int> expected = {0, 1, 2, 10, 11, 12};
+  EXPECT_EQ(order, expected);
+}
+
+TEST(Fiber, ProfilerScopeChainsStayFiberLocal) {
+  // One shard, all fibers on the calling thread: every yield hands the
+  // thread to a fiber whose own scopes are still open on its stack. Each
+  // fiber's chain must be parked at the dispatch boundary, or the next
+  // fiber's scope chains onto it and leave() writes through a dangling
+  // parent once the first fiber unwinds.
+  obs::prof::Profiler prof;
+  obs::prof::set_profiler(&prof);
+  {
+    sim::ShardedScheduler sched(1);
+    for (int i = 0; i < 4; ++i)
+      sched.spawn(
+          [&sched] {
+            const obs::prof::PhaseScope outer(obs::prof::Phase::kClustering);
+            sched.yield();
+            {
+              const obs::prof::PhaseScope inner(obs::prof::Phase::kFold);
+              sched.yield();
+            }
+            sched.yield();
+          },
+          kStack);
+    sched.run();
+  }
+  obs::prof::set_profiler(nullptr);
+  const obs::prof::ShardSlot& slot = prof.slot(0);
+  const auto at = [&](obs::prof::Phase p) {
+    return slot.phase_seconds[static_cast<std::size_t>(p)];
+  };
+  EXPECT_GT(at(obs::prof::Phase::kFold), 0.0);
+  EXPECT_GE(at(obs::prof::Phase::kClustering), 0.0);
+  EXPECT_EQ(slot.cur_phase.load(),
+            static_cast<std::uint8_t>(obs::prof::Phase::kIdle));
+}
+
+TEST(Fiber, BlockUnblockHandshake) {
+  for (const int shards : kShardCounts) {
+    SCOPED_TRACE(shards);
+    sim::ShardedScheduler sched(shards);
+    std::vector<std::string> events;
+    // Fiber 0 blocks; fiber 1 waits until it has, then unblocks it. The
+    // shard lock inside block()/blocked()/unblock() orders the pushes.
+    sched.spawn(
+        [&] {
+          events.push_back("a-before");
+          sched.block("waiting for b");
+          events.push_back("a-after");
+        },
+        kStack);
+    sched.spawn(
+        [&] {
+          while (!sched.blocked(0)) sched.yield();
+          events.push_back("b");
+          sched.unblock(0);
+        },
+        kStack);
+    sched.run();
+    const std::vector<std::string> expected = {"a-before", "b", "a-after"};
+    EXPECT_EQ(events, expected);
+  }
+}
+
+TEST(Fiber, UnblockOfReadyFiberIsNoop) {
+  for (const int shards : kShardCounts) {
+    SCOPED_TRACE(shards);
+    sim::ShardedScheduler sched(shards);
+    sched.spawn([&sched] { sched.unblock(1); }, kStack);
+    sched.spawn([] {}, kStack);
+    EXPECT_NO_THROW(sched.run());
+  }
+}
+
+TEST(Fiber, DeadlockDetected) {
+  for (const int shards : kShardCounts) {
+    SCOPED_TRACE(shards);
+    sim::ShardedScheduler sched(shards);
+    sched.spawn([&sched] { sched.block("forever"); }, kStack);
+    EXPECT_THROW(sched.run(), sim::DeadlockError);
+  }
+}
+
+TEST(Fiber, DeadlockReportNamesBlockedFiber) {
+  for (const int shards : kShardCounts) {
+    SCOPED_TRACE(shards);
+    sim::ShardedScheduler sched(shards);
+    sched.spawn([&sched] { sched.block("waiting for godot"); }, kStack);
+    try {
+      sched.run();
+      FAIL() << "expected deadlock";
+    } catch (const sim::DeadlockError& e) {
+      EXPECT_NE(std::string(e.what()).find("waiting for godot"),
+                std::string::npos);
+    }
+  }
+}
+
+TEST(Fiber, ExceptionPropagatesToRun) {
+  for (const int shards : kShardCounts) {
+    SCOPED_TRACE(shards);
+    sim::ShardedScheduler sched(shards);
+    sched.spawn([] { throw std::logic_error("boom"); }, kStack);
+    sched.spawn([] {}, kStack);
+    EXPECT_THROW(sched.run(), std::logic_error);
+  }
+}
+
+TEST(Fiber, CurrentIdInsideFiber) {
+  // One shard: fibers run in rank order on the calling thread.
+  sim::ShardedScheduler sched(1);
+  std::vector<int> ids;
+  for (int i = 0; i < 4; ++i)
+    sched.spawn([&] { ids.push_back(sched.current()); }, kStack);
+  sched.run();
+  const std::vector<int> expected = {0, 1, 2, 3};
+  EXPECT_EQ(ids, expected);
+  EXPECT_EQ(sched.current(), -1);
+}
+
+TEST(Fiber, ManyFibersScale) {
+  for (const int shards : kShardCounts) {
+    SCOPED_TRACE(shards);
+    sim::ShardedScheduler sched(shards);
+    std::atomic<int> counter{0};
+    const int n = 1024;
+    for (int i = 0; i < n; ++i)
+      sched.spawn(
+          [&sched, &counter] {
+            counter.fetch_add(1, std::memory_order_relaxed);
+            sched.yield();
+            counter.fetch_add(1, std::memory_order_relaxed);
+          },
+          kStack);
+    sched.run();
+    EXPECT_EQ(counter.load(), 2 * n);
+    EXPECT_GE(sched.switch_count(), static_cast<std::uint64_t>(2 * n));
+  }
+}
+
+TEST(Fiber, NestedSpawnRejected) {
+  for (const int shards : kShardCounts) {
+    SCOPED_TRACE(shards);
+    sim::ShardedScheduler sched(shards);
+    sched.spawn(
+        [&sched] { EXPECT_ANY_THROW(sched.spawn([] {}, kStack)); }, kStack);
+    sched.run();
+  }
+}
 
 TEST(ShardedScheduler, RunsEveryFiberAcrossShards) {
   sim::ShardedScheduler sched(4);
@@ -72,30 +254,36 @@ TEST(ShardedScheduler, ProfilerScopeChainsStayFiberLocal) {
   // boundary instead of letting the next fiber chain onto it (dangling
   // parent writes once the first fiber unwinds). Multiple fibers per
   // shard make every epoch interleave open scopes on each worker.
-  obs::prof::Profiler prof;
-  obs::prof::set_profiler(&prof);
-  {
-    sim::ShardedScheduler sched(2);
-    for (int i = 0; i < 8; ++i)
-      sched.spawn(
-          [&sched] {
-            const obs::prof::PhaseScope outer(obs::prof::Phase::kClustering);
-            sched.yield();
-            {
-              const obs::prof::PhaseScope inner(obs::prof::Phase::kFold);
+  for (const int shards : kShardCounts) {
+    SCOPED_TRACE(shards);
+    obs::prof::Profiler prof;
+    obs::prof::set_profiler(&prof);
+    {
+      sim::ShardedScheduler sched(shards);
+      for (int i = 0; i < 8; ++i)
+        sched.spawn(
+            [&sched] {
+              const obs::prof::PhaseScope outer(
+                  obs::prof::Phase::kClustering);
               sched.yield();
-            }
-            sched.yield();
-          },
-          kStack);
-    sched.run();
+              {
+                const obs::prof::PhaseScope inner(obs::prof::Phase::kFold);
+                sched.yield();
+              }
+              sched.yield();
+            },
+            kStack);
+      sched.run();
+    }
+    obs::prof::set_profiler(nullptr);
+    double fold = 0.0;
+    for (int s = 0; s < shards; ++s)
+      fold += prof.slot(s).phase_seconds[static_cast<std::size_t>(
+          obs::prof::Phase::kFold)];
+    EXPECT_GT(fold, 0.0);
+    EXPECT_EQ(prof.slot(0).cur_phase.load(),
+              static_cast<std::uint8_t>(obs::prof::Phase::kIdle));
   }
-  obs::prof::set_profiler(nullptr);
-  double fold = 0.0;
-  for (int s = 0; s < 2; ++s)
-    fold += prof.slot(s)
-                .phase_seconds[static_cast<std::size_t>(obs::prof::Phase::kFold)];
-  EXPECT_GT(fold, 0.0);
 }
 
 TEST(ShardedScheduler, WakeTokenPreventsLostWakeup) {
@@ -124,21 +312,24 @@ TEST(ShardedScheduler, WakeTokenPreventsLostWakeup) {
 }
 
 TEST(ShardedScheduler, DeadlockUnwindsStacksBeforeThrowing) {
-  sim::ShardedScheduler sched(2);
-  std::atomic<bool> unwound{false};
   struct Guard {
     std::atomic<bool>* flag;
     ~Guard() { flag->store(true, std::memory_order_release); }
   };
-  sched.spawn(
-      [&sched, &unwound] {
-        const Guard g{&unwound};
-        sched.block("never woken");  // no one will unblock fiber 0
-      },
-      kStack);
-  sched.spawn([] {}, kStack);
-  EXPECT_THROW(sched.run(), sim::DeadlockError);
-  EXPECT_TRUE(unwound.load(std::memory_order_acquire));
+  for (const int shards : kShardCounts) {
+    SCOPED_TRACE(shards);
+    sim::ShardedScheduler sched(shards);
+    std::atomic<bool> unwound{false};
+    sched.spawn(
+        [&sched, &unwound] {
+          const Guard g{&unwound};
+          sched.block("never woken");  // no one will unblock fiber 0
+        },
+        kStack);
+    sched.spawn([] {}, kStack);
+    EXPECT_THROW(sched.run(), sim::DeadlockError);
+    EXPECT_TRUE(unwound.load(std::memory_order_acquire));
+  }
 }
 
 TEST(ShardedScheduler, BlockNoteVisibleToStallHandler) {
@@ -164,7 +355,8 @@ struct RunOutput {
 };
 
 RunOutput run_workload(const std::string& name, int procs, int steps,
-                       std::uint64_t seed, int threads) {
+                       std::uint64_t seed, int threads,
+                       int perturb_every = 0) {
   const workloads::WorkloadInfo* info = workloads::find_workload(name);
   EXPECT_NE(info, nullptr) << name;
   sim::Engine engine(sim::EngineOptions{
@@ -175,6 +367,7 @@ RunOutput run_workload(const std::string& name, int procs, int steps,
   core::ChameleonTool tool(procs, &stacks, config);
   engine.set_tool(&tool);
   workloads::WorkloadParams params{.cls = 'A', .timesteps = steps};
+  params.perturb_every = perturb_every;
   engine.run([&](sim::Mpi& mpi) { info->run(mpi, stacks, params); });
   RunOutput out;
   out.digests = tool.epoch_digests();
@@ -184,13 +377,24 @@ RunOutput run_workload(const std::string& name, int procs, int steps,
 }
 
 TEST(ShardedEngine, ClusterTablesByteIdenticalAcrossThreadsAndSeeds) {
-  for (const char* workload : {"lu", "sweep3d"}) {
-    const RunOutput base = run_workload(workload, 8, 4, 0, 1);
+  struct Case {
+    const char* workload;
+    int steps;
+    int perturb_every;
+  };
+  // lu_mod flushes and re-clusters every third step: pins the marker
+  // protocol's re-clustering, not just the steady-state tables.
+  for (const Case c : {Case{"lu", 4, 0}, Case{"sweep3d", 4, 0},
+                       Case{"lu_mod", 9, 3}}) {
+    const char* workload = c.workload;
+    const RunOutput base =
+        run_workload(workload, 8, c.steps, 0, 1, c.perturb_every);
     ASSERT_FALSE(base.digests.empty()) << workload;
     ASSERT_FALSE(base.table.empty()) << workload;
     for (const int threads : {2, 8}) {
       for (const std::uint64_t seed : {std::uint64_t{0}, std::uint64_t{5}}) {
-        const RunOutput got = run_workload(workload, 8, 4, seed, threads);
+        const RunOutput got =
+            run_workload(workload, 8, c.steps, seed, threads, c.perturb_every);
         EXPECT_EQ(got.digests, base.digests)
             << workload << " threads=" << threads << " seed=" << seed;
         EXPECT_EQ(got.table, base.table)

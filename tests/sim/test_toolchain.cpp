@@ -10,8 +10,8 @@
 #include <vector>
 
 #include "sim/engine.hpp"
-#include "sim/fiber.hpp"
 #include "sim/mpi.hpp"
+#include "sim/shard.hpp"
 
 namespace cham::sim {
 namespace {

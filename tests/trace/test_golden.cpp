@@ -2,10 +2,10 @@
 //
 // The committed files under tests/data/ hold the wire encodings produced by
 // the pre-optimization deep-comparison code on fixed deterministic inputs.
-// Every test encodes the same inputs twice — fast path off (the oracle code
-// path) and on — and requires both to match the golden bytes exactly, so
-// any hash-precheck bug that changes a fold or merge decision shows up as a
-// byte diff, not just a plausible-looking trace.
+// Every test requires today's encoding of the same inputs to match the
+// golden bytes exactly, so any hash-precheck bug that changes a fold or
+// merge decision shows up as a byte diff, not just a plausible-looking
+// trace.
 //
 // Regenerate after an *intentional* wire or fold-rule change with
 //   CHAM_REGEN_GOLDEN=1 ctest -R Golden
@@ -21,7 +21,6 @@
 
 #include "support/rng.hpp"
 #include "trace/merge.hpp"
-#include "trace/perf.hpp"
 #include "trace/rsd.hpp"
 #include "trace/serialize.hpp"
 
@@ -89,36 +88,19 @@ std::vector<TraceNode> fold(const std::vector<EventRecord>& stream) {
   return intra.take();
 }
 
-class FastPathGuard {
- public:
-  FastPathGuard() : saved_(fast_path_enabled()) {}
-  ~FastPathGuard() { set_fast_path_enabled(saved_); }
-
- private:
-  bool saved_;
-};
-
-/// Run `produce` with the fast path off (oracle) and on, require the two
-/// encodings byte-identical, then compare against / regenerate the golden.
+/// Encode with `produce`, then compare against / regenerate the golden.
 void check_golden(const std::string& name,
                   const std::function<std::vector<std::uint8_t>()>& produce) {
-  FastPathGuard guard;
-  set_fast_path_enabled(false);
-  const std::vector<std::uint8_t> oracle = produce();
-  set_fast_path_enabled(true);
-  const std::vector<std::uint8_t> fast = produce();
-  ASSERT_EQ(oracle, fast) << name
-                          << ": fast path changed the encoded trace";
-
+  const std::vector<std::uint8_t> bytes = produce();
   const std::string path = golden_path(name);
   if (std::getenv("CHAM_REGEN_GOLDEN") != nullptr) {
-    write_file(path, oracle);
+    write_file(path, bytes);
     GTEST_SKIP() << "regenerated " << path;
   }
   const std::vector<std::uint8_t> golden = read_file(path);
   ASSERT_FALSE(golden.empty())
       << path << " missing — run with CHAM_REGEN_GOLDEN=1 to create it";
-  EXPECT_EQ(oracle, golden) << name << ": output drifted from golden bytes";
+  EXPECT_EQ(bytes, golden) << name << ": output drifted from golden bytes";
 }
 
 TEST(Golden, FoldedTraceBytes) {

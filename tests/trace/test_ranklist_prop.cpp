@@ -1,8 +1,9 @@
-// ChamScale property suite: the sparse interned ranklists must be
+// ChamScale property suite: the interned ranklists must be
 // indistinguishable from the dense seed representation on every observable
 // surface — members, set algebra, factored sections, wire bytes — and the
 // intern table must keep its canonicalization invariants (one entry per
-// member set, equality by pointer, memoized unions).
+// member set, equality by pointer, memoized unions). The dense oracle is a
+// test-local copy of the seed's factorization of a sorted member vector.
 //
 // Randomized properties run a fixed number of seeded trials; a failing
 // trial is greedily minimized before reporting, so the failure message
@@ -21,7 +22,6 @@
 
 #include "support/rng.hpp"
 #include "trace/ranklist.hpp"
-#include "trace/scale.hpp"
 #include "trace/serialize.hpp"
 
 #ifndef CHAM_TESTS_DATA_DIR
@@ -110,49 +110,118 @@ std::vector<std::uint8_t> wire_bytes(const RankList& list) {
 }
 
 // ---------------------------------------------------------------------------
-// Dense-oracle equivalence: everything observable about a sparse list must
-// match the dense list over the same member set.
+// The dense oracle: the seed representation's greedy factorization of a
+// sorted, unique member vector, and the section encoding it serialized.
+// ---------------------------------------------------------------------------
+
+/// Longest arithmetic progression starting at index `from` in the sorted,
+/// unique member vector. Returns (length, stride); length >= 1.
+std::pair<int, int> dense_run_at(const std::vector<sim::Rank>& m,
+                                 std::size_t from) {
+  if (from + 1 >= m.size()) return {1, 1};
+  const int stride = m[from + 1] - m[from];
+  int len = 2;
+  while (from + static_cast<std::size_t>(len) < m.size() &&
+         m[from + static_cast<std::size_t>(len)] -
+                 m[from + static_cast<std::size_t>(len) - 1] ==
+             stride) {
+    ++len;
+  }
+  return {len, stride};
+}
+
+/// Pass 1 factors into maximal 1-D progressions; pass 2 groups consecutive
+/// runs with identical shape and equally spaced starts into 2-D sections.
+std::vector<RankSection> dense_sections(const std::vector<sim::Rank>& m) {
+  std::vector<RankSection> runs;
+  for (std::size_t i = 0; i < m.size();) {
+    const auto [len, stride] = dense_run_at(m, i);
+    RankSection sec;
+    sec.start = m[i];
+    if (len > 1) sec.dims.push_back({len, stride});
+    runs.push_back(std::move(sec));
+    i += static_cast<std::size_t>(len);
+  }
+  std::vector<RankSection> out;
+  std::size_t r = 0;
+  while (r < runs.size()) {
+    std::size_t g = r + 1;
+    if (g < runs.size() && runs[g].dims == runs[r].dims) {
+      const int outer = runs[g].start - runs[r].start;
+      while (g + 1 < runs.size() && runs[g + 1].dims == runs[r].dims &&
+             runs[g + 1].start - runs[g].start == outer) {
+        ++g;
+      }
+      const int group = static_cast<int>(g - r + 1);
+      if (group >= 2 && outer > 0) {
+        RankSection sec;
+        sec.start = runs[r].start;
+        sec.dims.push_back({group, outer});
+        for (const auto& d : runs[r].dims) sec.dims.push_back(d);
+        out.push_back(std::move(sec));
+        r = g + 1;
+        continue;
+      }
+    }
+    out.push_back(runs[r]);
+    ++r;
+  }
+  return out;
+}
+
+std::vector<std::uint8_t> dense_wire_bytes(
+    const std::vector<RankSection>& sections) {
+  ByteWriter w;
+  w.u32(static_cast<std::uint32_t>(sections.size()));
+  for (const auto& sec : sections) {
+    w.i32(sec.start);
+    w.u16(static_cast<std::uint16_t>(sec.dims.size()));
+    for (const auto& [iters, stride] : sec.dims) {
+      w.i32(iters);
+      w.i32(stride);
+    }
+  }
+  return w.take();
+}
+
+std::size_t dense_footprint(const std::vector<RankSection>& sections) {
+  std::size_t bytes = 4;
+  for (const auto& sec : sections) bytes += 6 + 8 * sec.dims.size();
+  return bytes;
+}
+
+// ---------------------------------------------------------------------------
+// Dense-oracle equivalence: everything observable about a list must match
+// the dense representation of the same member set.
 // ---------------------------------------------------------------------------
 
 TEST(RankListProp, MembersMatchDenseOracle) {
-  check_property("sparse members == dense members", [](const auto& ranks) {
-    ScaleOptionsGuard off(kScaleAllOff);
-    const std::vector<sim::Rank> dense = RankList::from_ranks(ranks).members();
-    ScaleOptionsGuard on(kScaleAllOn);
-    const RankList sparse = RankList::from_ranks(ranks);
-    return sparse.members() != dense || sparse.count() != dense.size();
+  check_property("members == dense members", [](const auto& ranks) {
+    const std::vector<sim::Rank> dense = sorted_unique(ranks);
+    const RankList list = RankList::from_ranks(ranks);
+    return list.members() != dense || list.count() != dense.size();
   });
 }
 
 TEST(RankListProp, SectionsMatchDenseOracle) {
-  check_property("sparse sections == dense sections", [](const auto& ranks) {
-    ScaleOptionsGuard off(kScaleAllOff);
-    const auto dense = RankList::from_ranks(ranks).sections();
-    ScaleOptionsGuard on(kScaleAllOn);
-    return RankList::from_ranks(ranks).sections() != dense;
+  check_property("sections == dense sections", [](const auto& ranks) {
+    return RankList::from_ranks(ranks).sections() !=
+           dense_sections(sorted_unique(ranks));
   });
 }
 
 TEST(RankListProp, WireBytesMatchDenseOracle) {
-  check_property("sparse wire bytes == dense wire bytes",
-                 [](const auto& ranks) {
-                   ScaleOptionsGuard off(kScaleAllOff);
-                   const auto dense = wire_bytes(RankList::from_ranks(ranks));
-                   ScaleOptionsGuard on(kScaleAllOn);
-                   return wire_bytes(RankList::from_ranks(ranks)) != dense;
-                 });
+  check_property("wire bytes == dense wire bytes", [](const auto& ranks) {
+    return wire_bytes(RankList::from_ranks(ranks)) !=
+           dense_wire_bytes(dense_sections(sorted_unique(ranks)));
+  });
 }
 
 TEST(RankListProp, FootprintMatchesDenseOracle) {
-  check_property("sparse footprint == dense footprint",
-                 [](const auto& ranks) {
-                   ScaleOptionsGuard off(kScaleAllOff);
-                   const std::size_t dense =
-                       RankList::from_ranks(ranks).footprint_bytes();
-                   ScaleOptionsGuard on(kScaleAllOn);
-                   return RankList::from_ranks(ranks).footprint_bytes() !=
-                          dense;
-                 });
+  check_property("footprint == dense footprint", [](const auto& ranks) {
+    return RankList::from_ranks(ranks).footprint_bytes() !=
+           dense_footprint(dense_sections(sorted_unique(ranks)));
+  });
 }
 
 // ---------------------------------------------------------------------------
@@ -160,7 +229,6 @@ TEST(RankListProp, FootprintMatchesDenseOracle) {
 // ---------------------------------------------------------------------------
 
 TEST(RankListProp, MergeMatchesSetUnionOracle) {
-  ScaleOptionsGuard on(kScaleAllOn);
   check_property("merge == set union", [](const auto& ranks) {
     support::Rng rng(ranks.empty() ? 7u : static_cast<std::uint64_t>(
                                               ranks.front() + 11));
@@ -175,7 +243,6 @@ TEST(RankListProp, MergeMatchesSetUnionOracle) {
 }
 
 TEST(RankListProp, IntersectMatchesSetOracle) {
-  ScaleOptionsGuard on(kScaleAllOn);
   check_property("intersect == set intersection", [](const auto& ranks) {
     support::Rng rng(ranks.empty() ? 13u : static_cast<std::uint64_t>(
                                                ranks.front() + 29));
@@ -191,7 +258,6 @@ TEST(RankListProp, IntersectMatchesSetOracle) {
 }
 
 TEST(RankListProp, ContainsMatchesSetOracle) {
-  ScaleOptionsGuard on(kScaleAllOn);
   check_property("contains == set membership", [](const auto& ranks) {
     const std::set<sim::Rank> oracle(ranks.begin(), ranks.end());
     const RankList list = RankList::from_ranks(ranks);
@@ -202,7 +268,6 @@ TEST(RankListProp, ContainsMatchesSetOracle) {
 }
 
 TEST(RankListProp, MergeChainsMatchOracle) {
-  ScaleOptionsGuard on(kScaleAllOn);
   for (std::uint64_t seed = 1; seed <= 40; ++seed) {
     support::Rng rng(seed * 97);
     RankList acc;
@@ -220,7 +285,6 @@ TEST(RankListProp, MergeChainsMatchOracle) {
 }
 
 TEST(RankListProp, EmptyAndSelfIdentities) {
-  ScaleOptionsGuard on(kScaleAllOn);
   RankList a = RankList::from_ranks({3, 7, 11});
   const std::vector<sim::Rank> before = a.members();
   a.merge(a);
@@ -239,7 +303,6 @@ TEST(RankListProp, EmptyAndSelfIdentities) {
 // ---------------------------------------------------------------------------
 
 TEST(RankListProp, ForEachMemberVisitsAscendingExactlyOnce) {
-  ScaleOptionsGuard on(kScaleAllOn);
   check_property("for_each_member == members()", [](const auto& ranks) {
     const RankList list = RankList::from_ranks(ranks);
     std::vector<sim::Rank> visited;
@@ -249,7 +312,6 @@ TEST(RankListProp, ForEachMemberVisitsAscendingExactlyOnce) {
 }
 
 TEST(RankListProp, ForEachMemberEarlyExitStops) {
-  ScaleOptionsGuard on(kScaleAllOn);
   const RankList list = RankList::from_ranks({0, 4, 8, 12, 16});
   std::vector<sim::Rank> visited;
   list.for_each_member([&](sim::Rank r) {
@@ -264,7 +326,6 @@ TEST(RankListProp, ForEachMemberEarlyExitStops) {
 // ---------------------------------------------------------------------------
 
 TEST(RankListIntern, SameSetSharesOneEntry) {
-  ScaleOptionsGuard on(kScaleAllOn);
   check_property("same set -> same intern id", [](const auto& ranks) {
     std::vector<sim::Rank> reversed(ranks.rbegin(), ranks.rend());
     const RankList a = RankList::from_ranks(ranks);
@@ -275,7 +336,6 @@ TEST(RankListIntern, SameSetSharesOneEntry) {
 }
 
 TEST(RankListIntern, DistinctSetsGetDistinctEntries) {
-  ScaleOptionsGuard on(kScaleAllOn);
   check_property("distinct sets -> distinct intern ids",
                  [](const auto& ranks) {
                    if (ranks.empty()) return false;
@@ -288,7 +348,6 @@ TEST(RankListIntern, DistinctSetsGetDistinctEntries) {
 }
 
 TEST(RankListIntern, SingletonsComeFromTheWorldTable) {
-  ScaleOptionsGuard on(kScaleAllOn);
   ranklist_intern_ensure_world(64);
   const RankListInternStats before = ranklist_intern_stats();
   const RankList a = RankList::single(17);
@@ -302,7 +361,6 @@ TEST(RankListIntern, SingletonsComeFromTheWorldTable) {
 }
 
 TEST(RankListIntern, RepeatedUnionsAreMemoized) {
-  ScaleOptionsGuard on(kScaleAllOn);
   const RankList a = RankList::from_ranks({1, 5, 9, 13});
   const RankList b = RankList::from_ranks({2, 5, 8, 11});
   RankList first = a;
@@ -326,15 +384,11 @@ TEST(RankListIntern, EqualityMatchesOracleAcrossModes) {
     support::Rng rng(ranks.size() + 3);
     const std::vector<sim::Rank> other = random_set(rng);
     const bool same = sorted_unique(ranks) == sorted_unique(other);
-    ScaleOptionsGuard on(kScaleAllOn);
-    const RankList sa = RankList::from_ranks(ranks);
-    const RankList sb = RankList::from_ranks(other);
-    if ((sa == sb) != same) return true;
-    ScaleOptionsGuard off(kScaleAllOff);
-    const RankList da = RankList::from_ranks(ranks);
-    // Cross-mode comparisons (dense vs sparse) must agree too: da and sb
-    // mix modes, and da/sa hold the same set across modes.
-    return (da == sb) != same || !(sa == da);
+    const RankList a = RankList::from_ranks(ranks);
+    const RankList b = RankList::from_ranks(other);
+    // A list rebuilt from its own members in reverse is the same set.
+    const std::vector<sim::Rank> reversed(ranks.rbegin(), ranks.rend());
+    return (a == b) != same || !(a == RankList::from_ranks(reversed));
   });
 }
 
@@ -343,7 +397,6 @@ TEST(RankListIntern, EqualityMatchesOracleAcrossModes) {
 // ---------------------------------------------------------------------------
 
 TEST(RankListRuns, RunsAreCanonicalGreedyAndExact) {
-  ScaleOptionsGuard on(kScaleAllOn);
   check_property("runs canonical + greedy + exact", [](const auto& ranks) {
     const RankList list = RankList::from_ranks(ranks);
     const auto runs = list.runs();
@@ -369,7 +422,6 @@ TEST(RankListRuns, RunsAreCanonicalGreedyAndExact) {
 }
 
 TEST(RankListRuns, FromRunsMatchesFromRanks) {
-  ScaleOptionsGuard on(kScaleAllOn);
   for (std::uint64_t seed = 1; seed <= 100; ++seed) {
     support::Rng rng(seed * 31);
     // Random sorted disjoint runs, expanded to the equivalent member list.
@@ -394,11 +446,10 @@ TEST(RankListRuns, FromRunsMatchesFromRanks) {
 }
 
 // ---------------------------------------------------------------------------
-// Wire round-trips across modes.
+// Wire round-trips, including images from the dense encoder.
 // ---------------------------------------------------------------------------
 
 TEST(RankListWire, SparseRoundTripIsExact) {
-  ScaleOptionsGuard on(kScaleAllOn);
   check_property("encode -> decode -> encode is identity",
                  [](const auto& ranks) {
                    const RankList list = RankList::from_ranks(ranks);
@@ -410,21 +461,14 @@ TEST(RankListWire, SparseRoundTripIsExact) {
 }
 
 TEST(RankListWire, CrossModeDecodeAgrees) {
-  check_property("dense bytes decode sparsely (and back)",
+  check_property("dense bytes decode to the set (and back)",
                  [](const auto& ranks) {
-                   std::vector<std::uint8_t> dense_image;
-                   {
-                     ScaleOptionsGuard off(kScaleAllOff);
-                     dense_image =
-                         encode_ranklist_image(RankList::from_ranks(ranks));
-                   }
-                   ScaleOptionsGuard on(kScaleAllOn);
-                   const RankList sparse = decode_ranklist_image(dense_image);
-                   if (sparse.members() != sorted_unique(ranks)) return true;
-                   const auto sparse_image = encode_ranklist_image(sparse);
-                   ScaleOptionsGuard off(kScaleAllOff);
-                   return decode_ranklist_image(sparse_image).members() !=
-                          sorted_unique(ranks);
+                   const std::vector<std::uint8_t> dense =
+                       dense_wire_bytes(dense_sections(sorted_unique(ranks)));
+                   ByteReader r(dense);
+                   const RankList decoded = decode_ranklist(r);
+                   return decoded.members() != sorted_unique(ranks) ||
+                          wire_bytes(decoded) != dense;
                  });
 }
 
@@ -457,13 +501,11 @@ RankList golden_list() {
 }
 
 TEST(RankListGolden, SparseImageMatchesCommittedBytes) {
-  ScaleOptionsGuard on(kScaleAllOn);
   const auto image = encode_ranklist_image(golden_list());
-  {
-    // The sparse image must be byte-identical to the dense encoder's.
-    ScaleOptionsGuard off(kScaleAllOff);
-    ASSERT_EQ(encode_ranklist_image(golden_list()), image);
-  }
+  // The image must be byte-identical to the dense encoder's (after the
+  // leading version byte).
+  ASSERT_EQ(std::vector<std::uint8_t>(image.begin() + 1, image.end()),
+            dense_wire_bytes(dense_sections(golden_list().members())));
   if (std::getenv("CHAM_REGEN_GOLDEN") != nullptr) {
     std::ofstream out(golden_path(), std::ios::binary | std::ios::trunc);
     ASSERT_TRUE(out) << "cannot write " << golden_path();
@@ -479,51 +521,42 @@ TEST(RankListGolden, SparseImageMatchesCommittedBytes) {
 }
 
 TEST(RankListGolden, FutureVersionImageIsRejected) {
-  ScaleOptionsGuard on(kScaleAllOn);
   auto image = encode_ranklist_image(RankList::from_ranks({1, 2, 3}));
   image[0] = 2;  // pretend a newer format wrote it
   EXPECT_THROW(decode_ranklist_image(image), DecodeError);
 }
 
 TEST(RankListGolden, TrailingBytesAreRejected) {
-  ScaleOptionsGuard on(kScaleAllOn);
   auto image = encode_ranklist_image(RankList::from_ranks({1, 2, 3}));
   image.push_back(0);
   EXPECT_THROW(decode_ranklist_image(image), DecodeError);
 }
 
 TEST(RankListHostile, SectionCountBeyondBufferIsRejected) {
-  for (const ScaleOptions& mode : {kScaleAllOn, kScaleAllOff}) {
-    ScaleOptionsGuard guard(mode);
-    ByteWriter w;
-    w.u32(0x00FFFFFF);  // claims 16M sections in a 10-byte buffer
-    w.i32(0);
-    w.u16(0);
-    const auto bytes = w.take();
-    ByteReader r(bytes);
-    EXPECT_THROW(decode_ranklist(r), DecodeError);
-  }
+  ByteWriter w;
+  w.u32(0x00FFFFFF);  // claims 16M sections in a 10-byte buffer
+  w.i32(0);
+  w.u16(0);
+  const auto bytes = w.take();
+  ByteReader r(bytes);
+  EXPECT_THROW(decode_ranklist(r), DecodeError);
 }
 
 TEST(RankListHostile, IterationProductBeyondMemberCapIsRejected) {
-  for (const ScaleOptions& mode : {kScaleAllOn, kScaleAllOff}) {
-    ScaleOptionsGuard guard(mode);
-    ByteWriter w;
-    w.u32(1);
-    w.i32(0);
-    w.u16(2);
-    w.i32(1 << 13);  // 8192 * 8192 = 2^26 members > 2^24 cap
-    w.i32(1);
-    w.i32(1 << 13);
-    w.i32(1);
-    const auto bytes = w.take();
-    ByteReader r(bytes);
-    EXPECT_THROW(decode_ranklist(r), DecodeError);
-  }
+  ByteWriter w;
+  w.u32(1);
+  w.i32(0);
+  w.u16(2);
+  w.i32(1 << 13);  // 8192 * 8192 = 2^26 members > 2^24 cap
+  w.i32(1);
+  w.i32(1 << 13);
+  w.i32(1);
+  const auto bytes = w.take();
+  ByteReader r(bytes);
+  EXPECT_THROW(decode_ranklist(r), DecodeError);
 }
 
 TEST(RankListHostile, ImplausibleDimensionsAreRejected) {
-  ScaleOptionsGuard on(kScaleAllOn);
   {
     ByteWriter w;  // 9 dims exceeds the dimension-count cap
     w.u32(1);
@@ -553,25 +586,22 @@ TEST(RankListHostile, ImplausibleDimensionsAreRejected) {
 TEST(RankListHostile, LegacyShapesFallBackToDenseExpansion) {
   // A section whose dims the run fast path refuses (negative stride, or
   // out-of-order starts) must still decode to the exact member set via the
-  // dense fallback, in both modes.
-  for (const ScaleOptions& mode : {kScaleAllOn, kScaleAllOff}) {
-    ScaleOptionsGuard guard(mode);
-    ByteWriter w;
-    w.u32(2);
-    w.i32(50);  // descending progression: 50, 47, 44, 41
-    w.u16(1);
-    w.i32(4);
-    w.i32(-3);
-    w.i32(10);  // second section starts *below* the first
-    w.u16(1);
-    w.i32(3);
-    w.i32(1);
-    const auto bytes = w.take();
-    ByteReader r(bytes);
-    const RankList list = decode_ranklist(r);
-    EXPECT_EQ(list.members(),
-              (std::vector<sim::Rank>{10, 11, 12, 41, 44, 47, 50}));
-  }
+  // dense fallback.
+  ByteWriter w;
+  w.u32(2);
+  w.i32(50);  // descending progression: 50, 47, 44, 41
+  w.u16(1);
+  w.i32(4);
+  w.i32(-3);
+  w.i32(10);  // second section starts *below* the first
+  w.u16(1);
+  w.i32(3);
+  w.i32(1);
+  const auto bytes = w.take();
+  ByteReader r(bytes);
+  const RankList list = decode_ranklist(r);
+  EXPECT_EQ(list.members(),
+            (std::vector<sim::Rank>{10, 11, 12, 41, 44, 47, 50}));
 }
 
 }  // namespace

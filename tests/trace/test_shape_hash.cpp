@@ -6,30 +6,19 @@
 //               costs a wasted deep compare, never a wrong fold/merge)
 //   maintenance every library mutation (folding, merging, decode) leaves
 //               cached hashes equal to a from-scratch rehash
-//   identity    fast path on/off produces byte-identical traces
+//   identity    the hashed folder and merge produce the bytes of a fold
+//               that deep-compares every window and of the LCS merge
 #include <gtest/gtest.h>
 
 #include <functional>
 
 #include "support/rng.hpp"
 #include "trace/merge.hpp"
-#include "trace/perf.hpp"
 #include "trace/rsd.hpp"
 #include "trace/serialize.hpp"
 
 namespace cham::trace {
 namespace {
-
-/// Restore the process-wide fast-path switch on scope exit so a failing
-/// test cannot poison the rest of the suite.
-class FastPathGuard {
- public:
-  FastPathGuard() : saved_(fast_path_enabled()) {}
-  ~FastPathGuard() { set_fast_path_enabled(saved_); }
-
- private:
-  bool saved_;
-};
 
 EventRecord random_event(support::Rng& rng) {
   EventRecord ev;
@@ -52,15 +41,82 @@ EventRecord random_event(support::Rng& rng) {
   return ev;
 }
 
-std::vector<TraceNode> fold_random_stream(std::uint64_t seed, int length) {
+/// At least `length` random events, each repeated 1-5 times in a row.
+std::vector<EventRecord> random_stream(std::uint64_t seed, int length) {
   support::Rng rng(seed);
-  IntraTrace trace;
-  while (static_cast<int>(trace.recorded_events()) < length) {
+  std::vector<EventRecord> out;
+  while (static_cast<int>(out.size()) < length) {
     const EventRecord ev = random_event(rng);
     const int run = 1 + static_cast<int>(rng.next_below(5));
-    for (int i = 0; i < run; ++i) trace.append(ev);
+    for (int i = 0; i < run; ++i) out.push_back(ev);
   }
+  return out;
+}
+
+std::vector<TraceNode> fold_random_stream(std::uint64_t seed, int length) {
+  IntraTrace trace;
+  for (EventRecord& ev : random_stream(seed, length))
+    trace.append(std::move(ev));
   return trace.take();
+}
+
+bool windows_equal(const std::vector<TraceNode>& lhs, std::size_t lhs_at,
+                   const std::vector<TraceNode>& rhs, std::size_t rhs_at,
+                   std::size_t len) {
+  for (std::size_t i = 0; i < len; ++i)
+    if (!lhs[lhs_at + i].same_shape(rhs[rhs_at + i])) return false;
+  return true;
+}
+
+/// The oracle folder: the same two tail rules as fold_tail, shortest window
+/// first, with every candidate window deep-compared instead of hashed.
+void deep_fold_tail(std::vector<TraceNode>& nodes, std::size_t limit) {
+  bool folded = true;
+  while (folded) {
+    folded = false;
+    for (std::size_t len = 1; len <= limit && len <= nodes.size(); ++len) {
+      if (nodes.size() >= len + 1) {
+        const std::size_t at = nodes.size() - len - 1;
+        TraceNode& loop = nodes[at];
+        if (loop.is_loop() && loop.body.size() == len &&
+            windows_equal(loop.body, 0, nodes, at + 1, len)) {
+          for (std::size_t i = 0; i < len; ++i)
+            loop.body[i].absorb_stats(nodes[at + 1 + i]);
+          ++loop.iters;
+          loop.rehash_shallow();
+          nodes.resize(at + 1);
+          folded = true;
+          break;
+        }
+      }
+      if (nodes.size() >= 2 * len) {
+        const std::size_t first = nodes.size() - 2 * len;
+        const std::size_t second = nodes.size() - len;
+        if (windows_equal(nodes, first, nodes, second, len)) {
+          std::vector<TraceNode> body;
+          for (std::size_t i = 0; i < len; ++i) {
+            TraceNode merged = std::move(nodes[first + i]);
+            merged.absorb_stats(nodes[second + i]);
+            body.push_back(std::move(merged));
+          }
+          nodes.resize(first);
+          nodes.push_back(TraceNode::loop(2, std::move(body)));
+          folded = true;
+          break;
+        }
+      }
+    }
+  }
+}
+
+std::vector<TraceNode> deep_fold_random_stream(std::uint64_t seed,
+                                               int length) {
+  std::vector<TraceNode> nodes;
+  for (EventRecord& ev : random_stream(seed, length)) {
+    nodes.push_back(TraceNode::leaf(std::move(ev)));
+    deep_fold_tail(nodes, 32);  // IntraTrace's default window
+  }
+  return nodes;
 }
 
 /// Recursively check a node's cached hashes against a from-scratch rehash
@@ -159,23 +215,21 @@ TEST_P(ShapeHashSeeds, MergedTraceKeepsHashesConsistent) {
 }
 
 TEST_P(ShapeHashSeeds, FastPathProducesByteIdenticalTraces) {
-  FastPathGuard guard;
   const std::uint64_t seed = static_cast<std::uint64_t>(GetParam()) * 17;
 
-  set_fast_path_enabled(false);
-  auto base_a = fold_random_stream(seed, 350);
-  auto base_b = fold_random_stream(seed + 1, 350);
+  auto base_a = deep_fold_random_stream(seed, 350);
+  auto base_b = deep_fold_random_stream(seed + 1, 350);
   substitute_ranks(base_b, RankList::single(1));
-  const auto base_wire = encode_trace(
-      inter_merge(std::move(base_a), std::move(base_b)));
-
-  set_fast_path_enabled(true);
   auto fast_a = fold_random_stream(seed, 350);
   auto fast_b = fold_random_stream(seed + 1, 350);
   substitute_ranks(fast_b, RankList::single(1));
-  const auto fast_wire = encode_trace(
-      inter_merge(std::move(fast_a), std::move(fast_b)));
+  EXPECT_EQ(encode_trace(fast_a), encode_trace(base_a));
+  EXPECT_EQ(encode_trace(fast_b), encode_trace(base_b));
 
+  const auto base_wire =
+      encode_trace(lcs_merge(std::move(base_a), std::move(base_b)));
+  const auto fast_wire =
+      encode_trace(inter_merge(std::move(fast_a), std::move(fast_b)));
   EXPECT_EQ(base_wire, fast_wire);
 }
 

@@ -8,6 +8,15 @@
 #include "workloads/grid.hpp"
 
 namespace cham::workloads {
+
+// gtest prints a pointer parameter as its address, which moves on every run
+// under ASLR and would put a different "# GetParam() = 0x..." into each
+// listed test name. Print the workload name instead so the names are stable.
+// Found by ADL, so it lives in WorkloadInfo's namespace, not the unnamed one.
+static void PrintTo(const WorkloadInfo* info, std::ostream* os) {
+  *os << info->name;
+}
+
 namespace {
 
 struct RunResult {

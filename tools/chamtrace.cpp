@@ -739,9 +739,7 @@ int cmd_run(const Args& args) {
     }
     if (args.has("--perf")) {
       const trace::PerfCounters& perf = run.tracer->perf_counters();
-      std::printf("perf counters (fast path %s):\n%s\n",
-                  trace::fast_path_enabled() ? "on" : "off",
-                  perf.to_string().c_str());
+      std::printf("perf counters:\n%s\n", perf.to_string().c_str());
     }
     if (args.has("--text")) {
       std::fputs(trace::format_trace(nodes).c_str(), stdout);

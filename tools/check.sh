@@ -15,7 +15,9 @@
 # under the sanitizers, and the bench/ChamScope/ChamProf/ChamRace/
 # kill-resume/sharded determinism smokes against the release binaries. The
 # ChamProf leg also builds a -DCHAMELEON_PROF=OFF tree and gates the
-# shipping (hooks-in, profiler-off) wall time against it.
+# shipping (hooks-in, profiler-off) wall time against it. Last, the
+# repository benchmark (perfbench/) runs every workload once and must pass
+# its output checks.
 #
 # Usage: tools/check.sh [jobs]
 # Build trees live under build-check/ (gitignored).
@@ -58,10 +60,10 @@ done
 echo "=== [sanitize] engine slice ==="
 (cd build-check/sanitize && ctest -L engine --output-on-failure -j "$jobs")
 
-# ChamScale sanitizer leg: the ranklist property suite and the ON-vs-OFF
-# protocol differential suite under ASan+UBSan — the intern table, the
-# arena, and the run-level decode fast path are exactly where an
-# out-of-bounds run index or a dangling interned pointer would hide.
+# ChamScale sanitizer leg: the ranklist property suite and the frozen-digest
+# protocol suite under ASan+UBSan — the intern table, the arena, and the
+# run-level decode fast path are exactly where an out-of-bounds run index
+# or a dangling interned pointer would hide.
 echo "=== [sanitize] scale slice ==="
 (cd build-check/sanitize && ctest -L scale --output-on-failure -j "$jobs")
 echo "=== [sanitize] sharded run smoke ==="
@@ -80,20 +82,6 @@ echo "=== [tsan] race+engine slice ==="
 (cd build-check/tsan && ctest -L 'race|engine' --output-on-failure -j "$jobs")
 
 run_config werror -DCMAKE_BUILD_TYPE=RelWithDebInfo -DCHAMELEON_WERROR=ON
-
-# Hot-path benchmark smoke (release build): baseline and optimized runs must
-# produce byte-identical traces, and the JSON report must carry the schema
-# keys docs/PERF.md documents. Thresholded speedups are a full-scale,
-# quiet-machine measurement — run `bench_hotpath` without --smoke for those.
-echo "=== [release] bench_hotpath smoke ==="
-smoke_json="build-check/release/bench_smoke.json"
-build-check/release/bench/bench_hotpath --smoke --out "$smoke_json" >/dev/null
-for key in '"schema": "chameleon.bench_hotpath.v1"' '"append_fold"' \
-           '"inter_merge"' '"encode_decode"' '"counters"' \
-           '"byte_identical": true'; do
-  grep -qF "$key" "$smoke_json" ||
-    { echo "bench_hotpath smoke: missing $key in $smoke_json" >&2; exit 1; }
-done
 
 # ChamShard engine bench smoke (release build): the thread matrix must
 # produce identical digests at every thread count, and the committed
@@ -131,18 +119,17 @@ else
   echo "bench_engine: $(nproc) core(s) — skipping the >=3x speedup gate"
 fi
 
-# ChamScale weak-scaling gate (release build): ON-vs-OFF digest identity at
-# smoke scale, the documented schema and per-rank memory budget in the
-# committed bench_results/BENCH_scale.json (rows at 1k/4k/16k/64k), and a
-# 16k-rank sharded smoke proving the protocol completes at roadmap scale on
-# this host. The full 64k row is a multi-GB, ~half-minute measurement —
+# ChamScale weak-scaling gate (release build): the documented schema at
+# smoke scale, the schema and per-rank memory budget in the committed
+# bench_results/BENCH_scale.json (rows at 1k/4k/16k/64k), and a fresh
+# 16k-rank sharded row whose cluster-table and structure digests must equal
+# the committed 16k row's. The full 64k row is a multi-GB measurement —
 # re-run `bench_scale` without --smoke on a big host to refresh it
 # (docs/PERF.md "64k memory budget").
 echo "=== [release] bench_scale smoke ==="
 scale_json="build-check/release/bench_scale_smoke.json"
 build-check/release/bench/bench_scale --smoke --out "$scale_json" >/dev/null
-for key in '"schema": "chameleon.bench_scale.v1"' '"rows"' \
-           '"baseline_identical": true'; do
+for key in '"schema": "chameleon.bench_scale.v1"' '"rows"'; do
   grep -qF "$key" "$scale_json" ||
     { echo "bench_scale smoke: missing $key in $scale_json" >&2; exit 1; }
 done
@@ -151,8 +138,6 @@ import json, sys
 doc = json.load(open(sys.argv[1]))
 if doc.get("schema") != "chameleon.bench_scale.v1":
     sys.exit("BENCH_scale.json: wrong schema")
-if doc.get("baseline_identical") is not True:
-    sys.exit("BENCH_scale.json: baseline_identical must be true")
 rows = {int(r["nprocs"]): r for r in doc["rows"]}
 for p in (1024, 4096, 16384, 65536):
     if p not in rows:
@@ -164,16 +149,21 @@ for p in (1024, 4096, 16384, 65536):
 print(f"BENCH_scale.json: 64k ranks in {rows[65536]['wall_seconds']}s at "
       f"{float(rows[65536]['rss_bytes_per_rank']) / 1024:.1f} KiB/rank")
 EOF
-echo "=== [release] bench_scale 16k-rank sharded smoke ==="
+echo "=== [release] bench_scale 16k-rank digest gate ==="
 scale_16k="build-check/release/scale_16k_row.json"
 build-check/release/bench/bench_scale --row 16384 --threads 4 > "$scale_16k"
-python3 - "$scale_16k" <<'EOF'
+python3 - "$scale_16k" bench_results/BENCH_scale.json <<'EOF'
 import json, sys
 row = json.load(open(sys.argv[1]))
+committed = {int(r["nprocs"]): r for r in json.load(open(sys.argv[2]))["rows"]}
 if int(row["nprocs"]) != 16384 or int(row["clusters"]) < 1:
     sys.exit("bench_scale: 16k-rank smoke row malformed")
+for key in ("table_digest", "structure_digest"):
+    if row[key] != committed[16384][key]:
+        sys.exit(f"bench_scale: 16k-rank {key} {row[key]} != committed "
+                 f"{committed[16384][key]}")
 print(f"bench_scale: 16k ranks / 4 threads in {row['wall_seconds']}s "
-      f"({int(row['max_rss_kb']) // 1024} MB peak)")
+      f"({int(row['max_rss_kb']) // 1024} MB peak), digests match")
 EOF
 
 # Release multi-thread determinism: the same workload at --threads 1 and
@@ -357,5 +347,26 @@ echo "=== [sanitize] chamdurable corruption matrix ==="
 (cd build-check/sanitize &&
   CHAM_CORRUPT_ITERS="${CHAM_CORRUPT_ITERS:-1000}" \
   ctest -L durable --output-on-failure -j "$jobs")
+
+# Repository benchmark output gate: one short untraced run per workload.
+# Each run checks its digests and exact counts against
+# perfbench/expected.json; timing bounds are a quiet-host, paired
+# measurement for `perfbench/run.py --compare`, not a CI gate.
+echo "=== [perfbench] output checks ==="
+for workload in lu16k lu16k_t4 lu16k_scalatrace lumod2k; do
+  bench_out="build-check/perfbench-$workload.out"
+  python3 perfbench/run.py --workload "$workload" --seconds 1 --trace 0 \
+    --out build-check/perfbench > "$bench_out" ||
+    { cat "$bench_out" >&2; echo "perfbench $workload: run failed" >&2
+      exit 1; }
+  python3 - "$bench_out" "$workload" <<'EOF'
+import json, sys
+doc = json.loads(open(sys.argv[1]).read().strip().splitlines()[-1])
+if doc.get("correct") is not True or doc.get("failed") != 0:
+    sys.exit(f"perfbench {sys.argv[2]}: correct={doc.get('correct')} "
+             f"failed={doc.get('failed')}")
+print(f"perfbench {sys.argv[2]}: {doc['attempted']} runs, outputs correct")
+EOF
+done
 
 echo "=== all configurations green ==="

@@ -19,17 +19,15 @@
 // digests, but they are allowed to be slower than the one-thread run.
 //
 // Usage: bench_engine [--steps N] [--smoke] [--out FILE]
-#include <sched.h>
-
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <string>
-#include <thread>
 #include <vector>
 
+#include "host.hpp"
 #include "sim/engine.hpp"
 #include "sim/mpi.hpp"
 #include "support/json.hpp"
@@ -101,46 +99,6 @@ std::string fixed(double v, int digits) {
   return buf;
 }
 
-/// Cores this process may run on (what `nproc` prints).
-int usable_cores() {
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  if (sched_getaffinity(0, sizeof set, &set) != 0) return 0;
-  return CPU_COUNT(&set);
-}
-
-/// `git describe --dirty` of the source checkout; "unknown" outside one.
-std::string source_commit() {
-  FILE* pipe = popen("git -C \"" CHAM_SOURCE_DIR
-                     "\" describe --always --dirty --abbrev=12 2>/dev/null",
-                     "r");
-  if (pipe == nullptr) return "unknown";
-  char buf[128] = {};
-  const bool got = std::fgets(buf, sizeof buf, pipe) != nullptr;
-  pclose(pipe);
-  std::string out = got ? buf : "";
-  while (!out.empty() && (out.back() == '\n' || out.back() == '\r'))
-    out.pop_back();
-  return out.empty() ? "unknown" : out;
-}
-
-void write_host(support::json::Writer& w) {
-  w.key("host").begin_object();
-  w.member("nproc", usable_cores());
-  w.member("hardware_concurrency",
-           static_cast<std::uint64_t>(std::thread::hardware_concurrency()));
-  w.member("build_type", CHAM_BUILD_TYPE);
-#if defined(__clang__)
-  w.member("compiler", "clang " __clang_version__);
-#elif defined(__GNUC__)
-  w.member("compiler", "gcc " __VERSION__);
-#else
-  w.member("compiler", "unknown");
-#endif
-  w.member("commit", source_commit());
-  w.end_object();
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -169,7 +127,7 @@ int main(int argc, char** argv) {
   w.begin_object();
   w.member("schema", "chameleon.bench_engine.v1");
   w.member("steps", steps);
-  write_host(w);
+  bench::write_host(w);
   w.key("results").begin_array();
   for (const int fibers : fiber_counts) {
     double base_seconds = 0.0;

@@ -5,7 +5,7 @@
 // peak RSS per rank count, plus the intern-table/dedup telemetry that
 // explains the scaling (docs/PERF.md "64k memory budget"). Results land in
 // bench_results/BENCH_scale.json (schema chameleon.bench_scale.v1), gated
-// by tools/check.sh.
+// by tools/check.sh, with a host block (bench/host.hpp).
 //
 // Each rank count runs in a child process (`--row P`) so ru_maxrss is that
 // row's peak RSS, not the high-water mark of whichever row ran first. Every
@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "core/chameleon.hpp"
+#include "host.hpp"
 #include "sim/engine.hpp"
 #include "support/hash.hpp"
 #include "support/json.hpp"
@@ -283,6 +284,7 @@ int main(int argc, char** argv) {
   w.member("steps", steps);
   w.member("threads", threads);
   w.member("smoke", smoke);
+  bench::write_host(w);
   w.key("rows").begin_array();
   for (const RowResult& row : rows) write_json_row(w, row);
   w.end_array();

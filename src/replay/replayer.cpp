@@ -95,9 +95,7 @@ void replay_rank(sim::Mpi& mpi, const std::vector<trace::TraceNode>& trace,
 ReplayResult replay_trace(const std::vector<trace::TraceNode>& trace,
                           const ReplayOptions& options) {
   CHAM_CHECK_MSG(options.nprocs >= 1, "replay needs a world size");
-  sim::Engine engine({.nprocs = options.nprocs,
-                      .stack_bytes = options.stack_bytes,
-                      .net = options.net});
+  sim::Engine engine({.nprocs = options.nprocs, .net = options.net});
   if (options.approximate) engine.enable_approximate_progress();
   std::vector<std::uint64_t> per_rank(static_cast<std::size_t>(options.nprocs), 0);
   engine.run([&](sim::Mpi& mpi) {

@@ -22,7 +22,6 @@ namespace cham::replay {
 struct ReplayOptions {
   int nprocs = 0;  ///< world size to replay at (required)
   sim::NetModel net{};
-  std::size_t stack_bytes = 256 * 1024;
   /// Degrade gracefully when the clustered trace is an approximation (K
   /// below the natural behaviour-group count): unmatched receives and
   /// collectives are force-completed instead of deadlocking, and reported

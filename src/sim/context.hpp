@@ -1,11 +1,13 @@
 // Sanitizer glue for the fiber scheduler (shard.cpp).
 //
-// AddressSanitizer tracks one stack per thread; ucontext switches move
-// execution to a different stack behind its back, so every switch must be
-// announced via the fiber annotations — otherwise exception unwinding on a
-// fiber stack (__asan_handle_no_return) produces false positives.
+// AddressSanitizer tracks one stack per thread; the register-only fiber
+// switch (cham_fiber_switch) moves execution to a different stack behind
+// its back, so every switch must be announced via the fiber annotations —
+// otherwise exception unwinding on a fiber stack (__asan_handle_no_return)
+// produces false positives. Fiber stacks come from an mmap slab, not the
+// ASan allocator, so the slab unpoisons its chunks before unmapping them.
 //
-// ThreadSanitizer: we deliberately do NOT announce ucontext switches via
+// ThreadSanitizer: we deliberately do NOT announce fiber switches via
 // the __tsan_*_fiber API. GCC 12's libtsan fiber support is broken — the
 // sync-on-switch Release and ThreadState reuse after __tsan_destroy_fiber
 // both SEGV inside the runtime after a handful of fibers (StackDepot hash
@@ -29,6 +31,7 @@
 #endif
 
 #if defined(CHAM_ASAN_FIBERS)
+#include <sanitizer/asan_interface.h>
 #include <sanitizer/common_interface_defs.h>
 #endif
 
@@ -94,8 +97,19 @@ inline void tsan_free_fiber(void* fiber) {
 #endif
 }
 
-/// Announce the ucontext switch about to happen; call immediately before
-/// swapcontext (or before falling off the trampoline into uc_link).
+/// Clear ASan poisoning left on [addr, addr+size) — the redzones of fiber
+/// frames that never returned — before the range is unmapped.
+inline void sanitizer_unpoison(const void* addr, std::size_t size) {
+#if defined(CHAM_ASAN_FIBERS)
+  __asan_unpoison_memory_region(addr, size);
+#else
+  (void)addr;
+  (void)size;
+#endif
+}
+
+/// Announce the fiber switch about to happen; call immediately before
+/// cham_fiber_switch.
 inline void tsan_switch(void* target) {
 #if defined(CHAM_TSAN_FIBERS)
   if (target != nullptr) __tsan_switch_to_fiber(target, 0);

@@ -101,7 +101,40 @@ void Engine::run(const std::function<void(Mpi&)>& rank_main) {
     if (tool_ != nullptr) tool_->on_stall(*this);
     return false;
   });
+  scheduler_->set_block_describer(
+      [this](int id) { return describe_block(static_cast<Rank>(id)); });
   scheduler_->run();
+}
+
+std::string Engine::describe_block(Rank r) {
+  const BlockedState& blocked = blocked_[static_cast<std::size_t>(r)];
+  std::ostringstream os;
+  const auto any_or = [&os](int value, int any) -> std::ostream& {
+    if (value == any) return os << "any";
+    return os << value;
+  };
+  switch (blocked.kind) {
+    case BlockedState::Kind::kNone:
+      break;
+    case BlockedState::Kind::kRecv:
+      os << "comm=" << blocked.comm << " src=";
+      any_or(blocked.src_match, kAnySource) << " tag=";
+      any_or(blocked.tag_match, kAnyTag);
+      break;
+    case BlockedState::Kind::kCollective: {
+      os << "comm=" << blocked.comm << " slot=" << blocked.slot;
+      const prof::TimedLockGuard map_lock(collmap_m_, prof::LockClass::kCollMap);
+      const auto it = coll_sites_.find({blocked.comm, blocked.slot});
+      if (it != coll_sites_.end()) {
+        const prof::TimedLockGuard site_lock(it->second.m,
+                                             prof::LockClass::kCollSite);
+        os << " (" << it->second.arrived << '/' << opts_.nprocs
+           << " arrived)";
+      }
+      break;
+    }
+  }
+  return os.str();
 }
 
 // --------------------------------------------------------------------------
@@ -285,9 +318,7 @@ Message Engine::pmpi_wait(Rank self, Request req, RecvStatus* status) {
     blocked.src_match = state.src_match;
     blocked.tag_match = state.tag_match;
     while (!state.complete) {
-      std::ostringstream why;
-      why << "MPI_Wait(request=" << req << ")";
-      scheduler_->block(why.str());
+      scheduler_->block("MPI_Wait");
       drain_inbox(self);
     }
     blocked = BlockedState{};
@@ -424,17 +455,7 @@ void Engine::collective_arrive(
     blocked.slot = slot;
     RACE_ATOMIC("engine.collsite.done", ucomm, slot);
     while (!site->done.load(std::memory_order_acquire)) {
-      int arrived_now = 0;
-      {
-        // Snapshot under the site lock: other participants keep arriving
-        // while we compose the block note.
-        const prof::TimedLockGuard site_lock(site->m, prof::LockClass::kCollSite);
-        arrived_now = site->arrived;
-      }
-      std::ostringstream why;
-      why << op_name(op) << " comm=" << comm << " slot=" << slot << " ("
-          << arrived_now << '/' << opts_.nprocs << " arrived)";
-      scheduler_->block(why.str());
+      scheduler_->block(op_name(op));
       RACE_ATOMIC("engine.collsite.done", ucomm, slot);
     }
     blocked = BlockedState{};

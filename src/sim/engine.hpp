@@ -20,6 +20,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <vector>
 
 #include "sim/netmodel.hpp"
@@ -363,6 +364,10 @@ class Engine {
   /// owning rank from pmpi_wait).
   void drain_inbox(Rank self);
   bool approximate_progress_step();
+  /// Detail of rank r's block note, composed from blocked_ only when the
+  /// scheduler reads the note (deadlock report, block_note()): comm,
+  /// source and tag of a receive; comm, slot and arrivals of a collective.
+  [[nodiscard]] std::string describe_block(Rank r);
 
   // --- fault machinery (active only with an installed injector) -----------
 

@@ -1,6 +1,11 @@
 #include "sim/shard.hpp"
 
+#include <sys/mman.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <cerrno>
+#include <cstring>
 #include <sstream>
 
 #include "analysis/race/annotate.hpp"
@@ -17,6 +22,7 @@ namespace prof = obs::prof;
 
 using detail::sanitizer_post_switch;
 using detail::sanitizer_pre_switch;
+using detail::sanitizer_unpoison;
 using detail::ShardFiber;
 using detail::ShardFiberState;
 using detail::tsan_free_fiber;
@@ -24,7 +30,131 @@ using detail::tsan_make_fiber;
 using detail::tsan_switch;
 using detail::tsan_this_fiber;
 
+#if !defined(__x86_64__) || !defined(__linux__)
+#error "cham_fiber_switch and cham_fiber_start are x86-64 Linux only: port them (src/sim/shard.cpp) to this target"
+#endif
+
+// The register-only fiber switch. cham_fiber_switch(save_sp, load_sp)
+// pushes the callee-saved registers and an 8-byte slot holding MXCSR (low
+// half) and the x87 control word, stores rsp through save_sp, loads load_sp
+// and unwinds the same layout from there. Everything else is caller-saved
+// under the SysV ABI, so the compiler already spilled it around the call.
+// A fresh fiber's first frame (initial_frame) "returns" into
+// cham_fiber_start with r12 = the fiber and r13 = the trampoline; the thunk
+// calls it with an ABI-aligned stack and marks rip undefined, so unwinders
+// and debuggers stop there.
+extern "C" {
+void cham_fiber_switch(void** save_sp, void* load_sp);
+void cham_fiber_start();
+}
+
+asm(R"(
+  .pushsection .text
+  .p2align 4
+  .globl cham_fiber_switch
+  .hidden cham_fiber_switch
+  .type cham_fiber_switch, @function
+cham_fiber_switch:
+  .cfi_startproc
+  pushq %rbp
+  .cfi_adjust_cfa_offset 8
+  pushq %rbx
+  .cfi_adjust_cfa_offset 8
+  pushq %r12
+  .cfi_adjust_cfa_offset 8
+  pushq %r13
+  .cfi_adjust_cfa_offset 8
+  pushq %r14
+  .cfi_adjust_cfa_offset 8
+  pushq %r15
+  .cfi_adjust_cfa_offset 8
+  subq $8, %rsp
+  .cfi_adjust_cfa_offset 8
+  stmxcsr (%rsp)
+  fnstcw 4(%rsp)
+  movq %rsp, (%rdi)
+  movq %rsi, %rsp
+  ldmxcsr (%rsp)
+  fldcw 4(%rsp)
+  addq $8, %rsp
+  .cfi_adjust_cfa_offset -8
+  popq %r15
+  .cfi_adjust_cfa_offset -8
+  popq %r14
+  .cfi_adjust_cfa_offset -8
+  popq %r13
+  .cfi_adjust_cfa_offset -8
+  popq %r12
+  .cfi_adjust_cfa_offset -8
+  popq %rbx
+  .cfi_adjust_cfa_offset -8
+  popq %rbp
+  .cfi_adjust_cfa_offset -8
+  ret
+  .cfi_endproc
+  .size cham_fiber_switch, .-cham_fiber_switch
+
+  .p2align 4
+  .globl cham_fiber_start
+  .hidden cham_fiber_start
+  .type cham_fiber_start, @function
+cham_fiber_start:
+  .cfi_startproc
+  .cfi_undefined %rip
+  movq %r12, %rdi
+  callq *%r13
+  ud2
+  .cfi_endproc
+  .size cham_fiber_start, .-cham_fiber_start
+  .popsection
+)");
+
 namespace {
+
+/// Build a fresh fiber's first frame below the page-aligned `top` and
+/// return the stack pointer cham_fiber_switch loads to enter it. Layout,
+/// top down: 16 zero bytes (cham_fiber_start runs at top - 16, 16-byte
+/// aligned), the cham_fiber_start return address, rbp rbx r12 r13 r14 r15
+/// (rbp = 0 ends frame-pointer walks), then the FP control slot. The fiber
+/// starts with the spawning thread's MXCSR and x87 control word.
+void* initial_frame(char* top, ShardFiber* fiber,
+                    void (*entry)(ShardFiber*)) {
+  std::uint32_t mxcsr = 0;
+  std::uint16_t fpu_cw = 0;
+  asm volatile("stmxcsr %0" : "=m"(mxcsr));
+  asm volatile("fnstcw %0" : "=m"(fpu_cw));
+  auto* slot = reinterpret_cast<std::uint64_t*>(top) - 10;
+  slot[9] = 0;
+  slot[8] = 0;
+  slot[7] = reinterpret_cast<std::uintptr_t>(&cham_fiber_start);
+  slot[6] = 0;                                           // rbp
+  slot[5] = 0;                                           // rbx
+  slot[4] = reinterpret_cast<std::uintptr_t>(fiber);     // r12
+  slot[3] = reinterpret_cast<std::uintptr_t>(entry);     // r13
+  slot[2] = 0;                                           // r14
+  slot[1] = 0;                                           // r15
+  slot[0] = mxcsr | (std::uint64_t{fpu_cw} << 32);
+  return slot;
+}
+
+/// Slab chunks are at least this large: 256 default-size stacks per mmap.
+constexpr std::size_t kSlabChunkBytes = std::size_t{64} << 20;
+
+/// Stack-end alarm, run by yield() and block() before they change any
+/// state: no guard page protects a slab stack, so a fiber reaching a switch
+/// point must still have a quarter of its stack (64 KiB at the default
+/// size) left — room for this throw and its unwinding.
+void check_stack_headroom(const ShardFiber& fiber) {
+  const auto sp = reinterpret_cast<std::uintptr_t>(__builtin_frame_address(0));
+  const auto floor = reinterpret_cast<std::uintptr_t>(fiber.stack.data()) +
+                     fiber.stack.size() / 4;
+  CHAM_CHECK_MSG(sp > floor,
+                 "rank " + std::to_string(fiber.id) +
+                     " reached a switch point with its stack pointer in the "
+                     "lowest quarter of its " +
+                     std::to_string(fiber.stack.size() / 1024) +
+                     " KiB fiber stack");
+}
 
 /// Fiber id executing on *this* thread (-1 in scheduler/planner code).
 /// Thread-local so every shard worker — and the engine's log-rank provider
@@ -49,8 +179,39 @@ class LogRankProviderScope {
 
 namespace detail {
 
-ShardFiber::ShardFiber(std::size_t bytes, std::function<void()> fn)
-    : stack(new char[bytes]), stack_bytes(bytes), entry(std::move(fn)) {}
+StackSlab::~StackSlab() {
+  for (const Chunk& chunk : chunks_) {
+    // Frames a fiber never returned from (its trampoline) leave ASan
+    // redzones behind; a later mapping of this range must not inherit them.
+    sanitizer_unpoison(chunk.base, chunk.bytes);
+    munmap(chunk.base, chunk.bytes);
+  }
+}
+
+std::span<char> StackSlab::carve(std::size_t bytes) {
+  static const auto page = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+  const std::size_t rounded = (bytes + page - 1) / page * page;
+  if (static_cast<std::size_t>(end_ - cursor_) < rounded) {
+    const std::size_t size = std::max(kSlabChunkBytes, rounded);
+    void* base = mmap(nullptr, size, PROT_READ | PROT_WRITE,
+                      MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+    CHAM_CHECK_MSG(base != MAP_FAILED,
+                   std::string("fiber stack slab mmap: ") +
+                       std::strerror(errno));
+    // One 2 MiB huge page would back eight whole stacks, all but a few
+    // pages of each untouched. Advisory: a kernel without THP refuses it.
+    (void)madvise(base, size, MADV_NOHUGEPAGE);
+    chunks_.push_back({static_cast<char*>(base), size});
+    cursor_ = static_cast<char*>(base);
+    end_ = cursor_ + size;
+  }
+  const std::span<char> stack(cursor_, rounded);
+  cursor_ += rounded;
+  return stack;
+}
+
+ShardFiber::ShardFiber(std::span<char> stack, std::function<void()> fn)
+    : stack(stack), entry(std::move(fn)) {}
 
 ShardFiber::~ShardFiber() { tsan_free_fiber(tsan_fiber); }
 
@@ -73,35 +234,23 @@ ShardedScheduler::~ShardedScheduler() {
 int ShardedScheduler::spawn(std::function<void()> entry,
                             std::size_t stack_bytes) {
   CHAM_CHECK_MSG(!ran_, "spawn must precede run()");
-  auto fiber = std::make_unique<ShardFiber>(stack_bytes, std::move(entry));
+  auto fiber = std::make_unique<ShardFiber>(stacks_.carve(stack_bytes),
+                                            std::move(entry));
   fiber->id = static_cast<int>(fibers_.size());
   fiber->shard = fiber->id % static_cast<int>(shards_.size());
   fiber->sched = this;
-
-  Shard& shard = *shards_[static_cast<std::size_t>(fiber->shard)];
-  CHAM_CHECK(getcontext(&fiber->context) == 0);
-  fiber->context.uc_stack.ss_sp = fiber->stack.get();
-  fiber->context.uc_stack.ss_size = fiber->stack_bytes;
-  // uc_link points at the owning shard's scheduler context; its contents
-  // are (re)written by every swapcontext on the shard's worker thread, so
-  // taking the address before that thread exists is safe.
-  fiber->context.uc_link = &shard.main_context;
-  const auto ptr = reinterpret_cast<std::uintptr_t>(fiber.get());
-  makecontext(&fiber->context, reinterpret_cast<void (*)()>(&trampoline), 2,
-              static_cast<unsigned>(ptr >> 32),
-              static_cast<unsigned>(ptr & 0xffffffffu));
+  fiber->sp = initial_frame(fiber->stack.data() + fiber->stack.size(),
+                            fiber.get(), &trampoline);
   fiber->tsan_fiber = tsan_make_fiber();
 
-  shard.ready.push_back(fiber->id);
+  shards_[static_cast<std::size_t>(fiber->shard)]->ready.push_back(fiber->id);
   fibers_.push_back(std::move(fiber));
   const int id = fibers_.back()->id;
   race::fork(id);
   return id;
 }
 
-void ShardedScheduler::trampoline(unsigned hi, unsigned lo) {
-  auto* fiber = reinterpret_cast<ShardFiber*>(
-      (static_cast<std::uintptr_t>(hi) << 32) | static_cast<std::uintptr_t>(lo));
+void ShardedScheduler::trampoline(ShardFiber* fiber) {
   ShardedScheduler* sched = fiber->sched;
   Shard& shard = *sched->shards_[static_cast<std::size_t>(fiber->shard)];
   // First time on this stack; the stack we came from is the shard worker's.
@@ -121,11 +270,13 @@ void ShardedScheduler::trampoline(unsigned hi, unsigned lo) {
     fiber->state = ShardFiberState::kFinished;
   }
   sched->finished_.fetch_add(1, std::memory_order_relaxed);
-  // Falling off the trampoline returns to uc_link (the shard context).
-  // This stack is dying: release its fake stack (nullptr save slot).
+  // This stack is dying: release its fake stack (nullptr save slot) and
+  // hand the thread back to the shard worker for good.
   sanitizer_pre_switch(nullptr, shard.main_stack_bottom,
                        shard.main_stack_size);
   tsan_switch(shard.main_tsan_fiber);
+  cham_fiber_switch(&fiber->sp, shard.main_sp);
+  __builtin_unreachable();
 }
 
 void ShardedScheduler::record_exception() {
@@ -327,7 +478,6 @@ void ShardedScheduler::run_epoch(int shard_index) {
           retired_in_place = true;
         } else {
           fiber.state = ShardFiberState::kRunning;
-          fiber.block_reason.clear();
           fiber.started = true;
           runnable = true;
         }
@@ -380,10 +530,10 @@ void ShardedScheduler::dispatch(int shard_index, ShardFiber& fiber) {
   // blocked-out interval is excluded from the fiber's phase times.
   prof::PhaseScope* worker_scopes = prof::PhaseScope::suspend();
   prof::PhaseScope::resume(fiber.phase_top);
-  sanitizer_pre_switch(&shard.main_sanitizer_stack, fiber.stack.get(),
-                       fiber.stack_bytes);
+  sanitizer_pre_switch(&shard.main_sanitizer_stack, fiber.stack.data(),
+                       fiber.stack.size());
   tsan_switch(fiber.tsan_fiber);
-  CHAM_CHECK(swapcontext(&shard.main_context, &fiber.context) == 0);
+  cham_fiber_switch(&shard.main_sp, fiber.sp);
   sanitizer_post_switch(shard.main_sanitizer_stack, nullptr, nullptr);
   fiber.phase_top = prof::PhaseScope::suspend();
   prof::PhaseScope::resume(worker_scopes);
@@ -399,28 +549,34 @@ void ShardedScheduler::dispatch(int shard_index, ShardFiber& fiber) {
   tls_current_fiber = -1;
 }
 
+void ShardedScheduler::switch_out(ShardFiber& fiber) {
+  Shard& shard = *shards_[static_cast<std::size_t>(fiber.shard)];
+  sanitizer_pre_switch(&fiber.sanitizer_stack, shard.main_stack_bottom,
+                       shard.main_stack_size);
+  tsan_switch(shard.main_tsan_fiber);
+  cham_fiber_switch(&fiber.sp, shard.main_sp);
+  sanitizer_post_switch(fiber.sanitizer_stack, nullptr, nullptr);
+}
+
 void ShardedScheduler::yield() {
   const int id = tls_current_fiber;
   CHAM_CHECK(id >= 0);
   if (cancelling_.load(std::memory_order_acquire))
     throw detail::FiberCancelled{};
   ShardFiber& fiber = *fibers_[static_cast<std::size_t>(id)];
-  Shard& shard = *shards_[static_cast<std::size_t>(fiber.shard)];
-  sanitizer_pre_switch(&fiber.sanitizer_stack, shard.main_stack_bottom,
-                       shard.main_stack_size);
-  tsan_switch(shard.main_tsan_fiber);
-  CHAM_CHECK(swapcontext(&fiber.context, &shard.main_context) == 0);
-  sanitizer_post_switch(fiber.sanitizer_stack, nullptr, nullptr);
+  check_stack_headroom(fiber);
+  switch_out(fiber);
   if (cancelling_.load(std::memory_order_acquire))
     throw detail::FiberCancelled{};
 }
 
-void ShardedScheduler::block(std::string reason) {
+void ShardedScheduler::block(const char* label) {
   const int id = tls_current_fiber;
   CHAM_CHECK(id >= 0);
   if (cancelling_.load(std::memory_order_acquire))
     throw detail::FiberCancelled{};
   ShardFiber& fiber = *fibers_[static_cast<std::size_t>(id)];
+  check_stack_headroom(fiber);
   Shard& shard = *shards_[static_cast<std::size_t>(fiber.shard)];
   {
     const prof::TimedLockGuard lock(shard.m, prof::LockClass::kShardQueue);
@@ -436,16 +592,12 @@ void ShardedScheduler::block(std::string reason) {
       return;
     }
     fiber.state = ShardFiberState::kBlocked;
-    fiber.block_reason = std::move(reason);
+    fiber.block_label = label;
   }
   // Publish this fiber's clock: stall-handler repairs and the final join
   // are ordered after everything it did before blocking.
   race::release("fiber.state", static_cast<std::uint64_t>(id));
-  sanitizer_pre_switch(&fiber.sanitizer_stack, shard.main_stack_bottom,
-                       shard.main_stack_size);
-  tsan_switch(shard.main_tsan_fiber);
-  CHAM_CHECK(swapcontext(&fiber.context, &shard.main_context) == 0);
-  sanitizer_post_switch(fiber.sanitizer_stack, nullptr, nullptr);
+  switch_out(fiber);
   // Whoever woke us released "fiber.wake" first; join their clock so their
   // writes (e.g. the delivered message) are ordered before our reads.
   race::acquire("fiber.wake", static_cast<std::uint64_t>(id));
@@ -460,7 +612,6 @@ void ShardedScheduler::unblock(int id) {
   const prof::TimedLockGuard lock(shard.m, prof::LockClass::kShardQueue);
   if (fiber.state == ShardFiberState::kBlocked) {
     fiber.state = ShardFiberState::kReady;
-    fiber.block_reason.clear();
     race::release("fiber.wake", static_cast<std::uint64_t>(id));
     // Woken fibers join the *next* epoch: the planner merges this entry at
     // the barrier, so eligibility never depends on wake-up timing.
@@ -503,9 +654,20 @@ bool ShardedScheduler::blocked(int id) const {
 
 std::string ShardedScheduler::block_note(int id) const {
   const ShardFiber& fiber = *fibers_.at(static_cast<std::size_t>(id));
-  Shard& shard = *shards_[static_cast<std::size_t>(fiber.shard)];
-  const prof::TimedLockGuard lock(shard.m, prof::LockClass::kShardQueue);
-  return fiber.block_reason;
+  const char* label = nullptr;
+  {
+    Shard& shard = *shards_[static_cast<std::size_t>(fiber.shard)];
+    const prof::TimedLockGuard lock(shard.m, prof::LockClass::kShardQueue);
+    if (fiber.state == ShardFiberState::kBlocked) label = fiber.block_label;
+  }
+  if (label == nullptr) return {};
+  std::string note = label;
+  // Outside the shard lock: the describer takes the caller's own locks.
+  if (block_describer_) {
+    const std::string detail = block_describer_(id);
+    if (!detail.empty()) note += ' ' + detail;
+  }
+  return note;
 }
 
 std::uint64_t ShardedScheduler::switch_count() const {
@@ -526,14 +688,12 @@ std::string ShardedScheduler::deadlock_report() {
      << " fibers alive but none runnable\n";
   std::size_t listed = 0;
   for (const auto& fiber : fibers_) {
-    Shard& shard = *shards_[static_cast<std::size_t>(fiber->shard)];
-    const prof::TimedLockGuard lock(shard.m, prof::LockClass::kShardQueue);
-    if (fiber->state != ShardFiberState::kBlocked) continue;
+    if (!blocked(fiber->id)) continue;
     if (++listed > 16) {
       os << "  ...\n";
       break;
     }
-    os << "  rank " << fiber->id << ": " << fiber->block_reason << '\n';
+    os << "  rank " << fiber->id << ": " << block_note(fiber->id) << '\n';
   }
   return os.str();
 }

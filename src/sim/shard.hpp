@@ -4,10 +4,21 @@
 // Rank fibers are partitioned round-robin across a fixed pool of shards
 // (rank r lives on shard r % S forever); every shard owns a run queue and a
 // worker thread that is the only thread ever executing — or resuming — its
-// fibers, so each fiber's stack, ucontext, and ASan bookkeeping stay
-// thread-pinned for life. With one shard the driving thread is the only
-// worker and no thread is spawned. Execution proceeds in epochs separated by
-// a pool-wide barrier (the SimGrid/SMPI scheduling-round discipline):
+// fibers, so each fiber's stack, saved stack pointer, and ASan bookkeeping
+// stay thread-pinned for life. With one shard the driving thread is the only
+// worker and no thread is spawned.
+//
+// A switch is one register-only routine (cham_fiber_switch in shard.cpp):
+// it saves the callee-saved registers, MXCSR and the x87 control word on the
+// departing stack and loads the other stack pointer — no system call, no
+// signal mask. Fiber stacks are page-rounded slices of a scheduler-owned
+// mmap slab (StackSlab), so no stack carries a malloc header page and every
+// stack top is page-aligned. No stack has a guard page; yield() and block()
+// instead fail loudly, naming the rank, when a fiber reaches them with its
+// stack pointer inside the lowest quarter of its stack (docs/ENGINE.md).
+//
+// Execution proceeds in epochs separated by a pool-wide barrier (the
+// SimGrid/SMPI scheduling-round discipline):
 //
 //   1. All workers park on the barrier. The last arriver becomes the
 //      planner: it merges freshly woken fibers into the shard run queues and
@@ -23,7 +34,10 @@
 //      planner runs the stall handler (all workers parked, so it sees a
 //      fully quiescent engine), and failing that captures a deadlock report,
 //      unwinds every surviving fiber stack (so destructors run and nothing
-//      leaks), and run() throws DeadlockError instead of hanging.
+//      leaks), and run() throws DeadlockError instead of hanging. A blocked
+//      fiber stores only a string-literal label; the report asks the block
+//      describer for the detail (what the rank waits for), so the block
+//      path itself never formats or allocates.
 //
 // Wake-ups racing a block are handled with a per-fiber wake token: an
 // unblock() that finds its target running (about to block on the very
@@ -40,8 +54,6 @@
 // announces the new task.
 #pragma once
 
-#include <ucontext.h>
-
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
@@ -50,6 +62,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -84,18 +97,43 @@ enum class ShardFiberState : std::uint8_t {
   kFinished
 };
 
+/// Fiber stacks carved from anonymous mmap chunks (MAP_NORESERVE, no
+/// transparent huge pages). Every stack is page-rounded and page-aligned,
+/// so two stacks never share a page and none carries a malloc header page;
+/// untouched pages cost address space only. The chunks are unmapped when
+/// the slab dies, so it must outlive every fiber running on its stacks.
+class StackSlab {
+ public:
+  StackSlab() = default;
+  ~StackSlab();
+  StackSlab(const StackSlab&) = delete;
+  StackSlab& operator=(const StackSlab&) = delete;
+
+  /// A fresh stack of `bytes` rounded up to whole pages.
+  std::span<char> carve(std::size_t bytes);
+
+ private:
+  struct Chunk {
+    char* base;
+    std::size_t bytes;
+  };
+  std::vector<Chunk> chunks_;
+  char* cursor_ = nullptr;  ///< next free byte of the newest chunk
+  char* end_ = nullptr;     ///< end of the newest chunk
+};
+
 /// One rank fiber pinned to a shard. `state`, `wake_pending`, and
-/// `block_reason` are guarded by the owning shard's mutex; the stack and
-/// context are touched only by the owning shard's worker thread.
+/// `block_label` are guarded by the owning shard's mutex; the stack and
+/// saved stack pointer are touched only by the owning shard's worker thread.
 struct ShardFiber {
-  ShardFiber(std::size_t bytes, std::function<void()> fn);
+  ShardFiber(std::span<char> stack, std::function<void()> fn);
   ~ShardFiber();
   ShardFiber(const ShardFiber&) = delete;
   ShardFiber& operator=(const ShardFiber&) = delete;
 
-  ucontext_t context{};
-  std::unique_ptr<char[]> stack;
-  std::size_t stack_bytes;
+  /// Saved stack pointer while switched out (cham_fiber_switch).
+  void* sp = nullptr;
+  std::span<char> stack;  ///< this fiber's slab stack (not owned)
   std::function<void()> entry;
   ShardFiberState state = ShardFiberState::kReady;
   int id = -1;
@@ -105,7 +143,9 @@ struct ShardFiber {
   /// by its next block() (see the wake-token protocol above).
   bool wake_pending = false;
   ShardedScheduler* sched = nullptr;
-  std::string block_reason;
+  /// What the fiber blocked in: a string literal, meaningful only while
+  /// `state` is kBlocked.
+  const char* block_label = nullptr;
   void* sanitizer_stack = nullptr;
   void* tsan_fiber = nullptr;
   /// Open ChamProf scope chain, parked while the fiber is switched out
@@ -144,6 +184,14 @@ class ShardedScheduler {
     stall_handler_ = std::move(handler);
   }
 
+  /// Composes the detail of a blocked fiber's note (what it waits for)
+  /// from the caller's own state. Called only when a note is read — by
+  /// block_note() and the deadlock report, both on a quiescent engine — so
+  /// blocking itself stays free of formatting.
+  void set_block_describer(std::function<std::string(int)> describer) {
+    block_describer_ = std::move(describer);
+  }
+
   /// Seed != 0 replaces rank-order dispatch with a shuffle per (seed,
   /// shard, epoch), reproducible per seed and shard count. Used by the
   /// determinism auditor; call before run().
@@ -156,8 +204,10 @@ class ShardedScheduler {
 
   /// Mark the current fiber blocked and switch away. Returns once some
   /// other fiber calls unblock() on it, or spuriously when a wake token is
-  /// pending; callers must re-check their condition in a loop.
-  void block(std::string reason);
+  /// pending; callers must re-check their condition in a loop. `label`
+  /// names what blocks (e.g. "MPI_Wait"); only the pointer is stored, so it
+  /// must be a string literal.
+  void block(const char* label);
 
   /// Make a blocked fiber runnable again (next epoch). Callable from any
   /// fiber, from any shard, or from the stall handler.
@@ -175,9 +225,9 @@ class ShardedScheduler {
   [[nodiscard]] std::size_t finished_count() const;
 
   /// Introspection for analysis tools: fiber lifecycle state and the
-  /// blocker's note (empty unless blocked). Valid when the target fiber is
-  /// quiescent (stall handler, post-run); the note is copied out under the
-  /// shard lock.
+  /// blocker's note — the block label, then the describer's detail — empty
+  /// unless blocked. Valid when the target fiber is quiescent (stall
+  /// handler, post-run).
   [[nodiscard]] bool finished(int id) const;
   [[nodiscard]] bool blocked(int id) const;
   [[nodiscard]] std::string block_note(int id) const;
@@ -198,7 +248,7 @@ class ShardedScheduler {
     std::vector<int> run_list;  ///< this epoch's eligible ids, in run order
     std::uint64_t switches = 0;
 
-    ucontext_t main_context{};
+    void* main_sp = nullptr;  ///< worker's saved stack pointer
     void* main_sanitizer_stack = nullptr;
     void* main_tsan_fiber = nullptr;
     const void* main_stack_bottom = nullptr;
@@ -206,7 +256,9 @@ class ShardedScheduler {
     std::thread worker;  ///< shards 1..S-1; shard 0 runs on the driver
   };
 
-  static void trampoline(unsigned hi, unsigned lo);
+  /// First frame of every fiber, entered from cham_fiber_start; ends by
+  /// switching to its shard's worker for good.
+  [[noreturn]] static void trampoline(detail::ShardFiber* fiber);
   void worker_loop(int shard_index);
   /// Park on the epoch barrier; the last arriver plans the next epoch.
   /// Returns false once the pool is shutting down. The shard index feeds
@@ -217,10 +269,14 @@ class ShardedScheduler {
   void plan_epoch();
   void run_epoch(int shard_index);
   void dispatch(int shard_index, detail::ShardFiber& fiber);
+  /// Switch from the calling fiber back to its shard's worker (yield and
+  /// block).
+  void switch_out(detail::ShardFiber& fiber);
   void start_cancel();
   [[nodiscard]] std::string deadlock_report();
   void record_exception();
 
+  detail::StackSlab stacks_;  ///< declared first: outlives fibers_
   std::vector<std::unique_ptr<detail::ShardFiber>> fibers_;
   std::vector<std::unique_ptr<Shard>> shards_;
 
@@ -242,6 +298,7 @@ class ShardedScheduler {
   std::string deadlock_message_;
 
   std::function<bool()> stall_handler_;
+  std::function<std::string(int)> block_describer_;
   std::uint64_t seed_ = 0;
   bool ran_ = false;
 };

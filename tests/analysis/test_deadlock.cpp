@@ -3,6 +3,8 @@
 // symbolic call paths — instead of hanging forever.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "analysis/verifier.hpp"
 #include "sim/engine.hpp"
 #include "sim/mpi.hpp"
@@ -96,6 +98,40 @@ TEST(Deadlock, EngineWithoutToolStillTerminatesWithReport) {
     FAIL() << "expected DeadlockError";
   } catch (const sim::DeadlockError& e) {
     EXPECT_NE(std::string(e.what()).find("none runnable"), std::string::npos);
+  }
+}
+
+/// The line of a DeadlockError report that lists `rank` ("" if none).
+std::string report_line(const std::string& report, int rank) {
+  const std::string head = "  rank " + std::to_string(rank) + ": ";
+  const std::size_t at = report.find(head);
+  if (at == std::string::npos) return "";
+  return report.substr(at, report.find('\n', at) - at);
+}
+
+TEST(Deadlock, EngineReportDescribesEachBlockedRank) {
+  // No tool: the scheduler's own report must say what each rank waits for.
+  // Rank 0 receives (source 1, tag 5) a message rank 1 never sends; rank 1
+  // waits alone in the world barrier.
+  sim::Engine engine({.nprocs = 2});
+  try {
+    engine.run([&](sim::Mpi& mpi) {
+      if (mpi.rank() == 0) {
+        mpi.recv(1, 8, 5);
+      } else {
+        mpi.barrier();
+      }
+    });
+    FAIL() << "expected DeadlockError";
+  } catch (const sim::DeadlockError& e) {
+    const std::string what = e.what();
+    const std::string recv = report_line(what, 0);
+    EXPECT_NE(recv.find("MPI_Wait"), std::string::npos) << what;
+    EXPECT_NE(recv.find("src=1"), std::string::npos) << what;
+    EXPECT_NE(recv.find("tag=5"), std::string::npos) << what;
+    const std::string barrier = report_line(what, 1);
+    EXPECT_NE(barrier.find("MPI_Barrier"), std::string::npos) << what;
+    EXPECT_NE(barrier.find("(1/2 arrived)"), std::string::npos) << what;
   }
 }
 

@@ -6,7 +6,10 @@
 //     a single-thread order: fibers run to completion, block/unblock hand
 //     off, exceptions and deadlocks propagate only after every fiber stack
 //     unwound, the wake-token protocol turns an unblock() racing a block()
-//     into an immediate return instead of a lost wakeup.
+//     into an immediate return instead of a lost wakeup. The register-only
+//     switch keeps the FP control state per fiber, enters and resumes
+//     fibers with an ABI-aligned stack, lets exceptions cross a yield, and
+//     fails loudly when a fiber switches out low on stack.
 //   - Engine determinism matrix: the protocol output of a (workload, P,
 //     seed) triple — per-epoch digests, the final cluster table bytes, and
 //     the --perf counter totals — must be identical at every thread count.
@@ -19,6 +22,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cfenv>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
@@ -219,6 +223,152 @@ TEST(Fiber, NestedSpawnRejected) {
   }
 }
 
+TEST(Fiber, FloatingPointControlIsPerFiber) {
+  // Fiber 0 and fiber `shards` share shard 0 and run in that order: the
+  // second sees the default rounding mode while the first is switched out
+  // with FE_UPWARD, and the first gets FE_UPWARD back on resume.
+  for (const int shards : kShardCounts) {
+    SCOPED_TRACE(shards);
+    sim::ShardedScheduler sched(shards);
+    std::atomic<int> resumed_mode{-1};
+    std::atomic<int> neighbour_mode{-1};
+    sched.spawn(
+        [&sched, &resumed_mode] {
+          std::fesetround(FE_UPWARD);
+          sched.yield();
+          resumed_mode.store(std::fegetround());
+          std::fesetround(FE_TONEAREST);
+        },
+        kStack);
+    for (int i = 1; i < shards; ++i) sched.spawn([] {}, kStack);
+    sched.spawn(
+        [&sched, &neighbour_mode] {
+          neighbour_mode.store(std::fegetround());
+          sched.yield();
+        },
+        kStack);
+    sched.run();
+    EXPECT_EQ(resumed_mode.load(), FE_UPWARD);
+    EXPECT_EQ(neighbour_mode.load(), FE_TONEAREST);
+    EXPECT_EQ(std::fegetround(), FE_TONEAREST);
+  }
+}
+
+/// The address of `p` through an opaque register, so the compiler cannot
+/// fold an alignment test it believes true by construction.
+std::uintptr_t opaque_address(const volatile void* p) {
+  auto address = reinterpret_cast<std::uintptr_t>(p);
+  asm volatile("" : "+r"(address));
+  return address;
+}
+
+/// alignas(16) locals are placed relative to the stack pointer, trusting
+/// the caller's stack to be ABI-aligned; alignas(64) makes the compiler
+/// realign the frame. Separate frames, so one cannot mask the other.
+[[gnu::noinline]] bool local_aligned_16() {
+  alignas(16) volatile char a16[16] = {};
+  return opaque_address(a16) % 16 == 0;
+}
+
+[[gnu::noinline]] bool local_aligned_64() {
+  alignas(64) volatile char a64[64] = {};
+  return opaque_address(a64) % 64 == 0;
+}
+
+bool locals_aligned() { return local_aligned_16() && local_aligned_64(); }
+
+TEST(Fiber, OverAlignedLocalsAlignedOnEntryAndResume) {
+  for (const int shards : kShardCounts) {
+    SCOPED_TRACE(shards);
+    sim::ShardedScheduler sched(shards);
+    constexpr int kFibers = 8;
+    std::atomic<int> aligned_entries{0};
+    std::atomic<int> aligned_resumes{0};
+    for (int i = 0; i < kFibers; ++i)
+      sched.spawn(
+          [&] {
+            if (locals_aligned()) aligned_entries.fetch_add(1);
+            sched.yield();
+            if (locals_aligned()) aligned_resumes.fetch_add(1);
+          },
+          kStack);
+    sched.run();
+    EXPECT_EQ(aligned_entries.load(), kFibers);
+    EXPECT_EQ(aligned_resumes.load(), kFibers);
+  }
+}
+
+TEST(Fiber, ExceptionCaughtAcrossYieldLeavesRunIntact) {
+  // Every fiber is switched out inside a try block while its shard
+  // neighbours throw and catch in theirs; each throw must find its own
+  // fiber's handler and leave the others' frames alone.
+  for (const int shards : kShardCounts) {
+    SCOPED_TRACE(shards);
+    sim::ShardedScheduler sched(shards);
+    constexpr int kFibers = 8;
+    std::atomic<int> caught{0};
+    std::atomic<int> finished{0};
+    for (int i = 0; i < kFibers; ++i)
+      sched.spawn(
+          [&sched, &caught, &finished, i] {
+            try {
+              sched.yield();
+              throw std::runtime_error("fiber " + std::to_string(i));
+            } catch (const std::runtime_error& e) {
+              if (e.what() == "fiber " + std::to_string(i))
+                caught.fetch_add(1);
+            }
+            sched.yield();
+            finished.fetch_add(1);
+          },
+          kStack);
+    EXPECT_NO_THROW(sched.run());
+    EXPECT_EQ(caught.load(), kFibers);
+    EXPECT_EQ(finished.load(), kFibers);
+    EXPECT_EQ(sched.finished_count(), static_cast<std::size_t>(kFibers));
+  }
+}
+
+/// Recurse through 1 KiB frames until this frame is `depth` bytes below
+/// `top`, then yield from there.
+[[gnu::noinline]] void descend_and_yield(sim::ShardedScheduler& sched,
+                                         const char* top, std::size_t depth) {
+  volatile char frame[1024];
+  frame[0] = 1;
+  const auto* here = static_cast<const char*>(__builtin_frame_address(0));
+  if (static_cast<std::size_t>(top - here) < depth)
+    descend_and_yield(sched, top, depth);
+  else
+    sched.yield();
+  frame[1] = frame[0];  // keeps the frame live across the call
+}
+
+TEST(Fiber, StackEndAlarmNamesTheFiber) {
+  // The alarm line sits a quarter of the stack above its low end (16 KiB
+  // here). Fiber 1 yields from 1 KiB past it; run() must rethrow the
+  // check naming rank 1 once every fiber unwound.
+  for (const int shards : kShardCounts) {
+    SCOPED_TRACE(shards);
+    sim::ShardedScheduler sched(shards);
+    sched.spawn([&sched] { sched.yield(); }, kStack);
+    sched.spawn(
+        [&sched] {
+          const auto* top =
+              static_cast<const char*>(__builtin_frame_address(0));
+          descend_and_yield(sched, top, kStack * 3 / 4 + 1024);
+        },
+        kStack);
+    try {
+      sched.run();
+      FAIL() << "expected the stack-end alarm";
+    } catch (const std::logic_error& e) {
+      EXPECT_NE(std::string(e.what()).find("rank 1 "), std::string::npos)
+          << e.what();
+    }
+    EXPECT_EQ(sched.finished_count(), 2u);
+  }
+}
+
 TEST(ShardedScheduler, RunsEveryFiberAcrossShards) {
   sim::ShardedScheduler sched(4);
   EXPECT_EQ(sched.shards(), 4);
@@ -330,6 +480,25 @@ TEST(ShardedScheduler, DeadlockUnwindsStacksBeforeThrowing) {
     EXPECT_THROW(sched.run(), sim::DeadlockError);
     EXPECT_TRUE(unwound.load(std::memory_order_acquire));
   }
+}
+
+TEST(ShardedScheduler, BlockNoteAppendsDescriberDetail) {
+  sim::ShardedScheduler sched(2);
+  std::string seen;
+  std::string after;
+  sched.spawn([&sched] { sched.block("MPI_Wait"); }, kStack);
+  sched.set_block_describer(
+      [](int id) { return "detail of " + std::to_string(id); });
+  sched.set_stall_handler([&] {
+    if (!seen.empty()) return false;
+    seen = sched.block_note(0);
+    sched.unblock(0);
+    after = sched.block_note(0);
+    return true;
+  });
+  sched.run();
+  EXPECT_EQ(seen, "MPI_Wait detail of 0");
+  EXPECT_EQ(after, "");  // no note once the fiber is runnable again
 }
 
 TEST(ShardedScheduler, BlockNoteVisibleToStallHandler) {

@@ -11,7 +11,8 @@
 // change it.
 //
 // Results land in bench_results/BENCH_profiler.json (schema
-// "chameleon.bench_profiler.v1", gated by tools/check.sh). The separate
+// "chameleon.bench_profiler.v1", gated by tools/check.sh), with a host
+// block (bench/host.hpp). The separate
 // compiled-out configuration (-DCHAMELEON_PROF=OFF) is gated by the
 // check.sh disabled-overhead leg, not here: this binary measures what
 // turning the profiler ON costs, check.sh proves that leaving it OFF
@@ -24,9 +25,9 @@
 #include <cstdio>
 #include <fstream>
 #include <string>
-#include <thread>
 #include <vector>
 
+#include "host.hpp"
 #include "obs/prof/profiler.hpp"
 #include "sim/engine.hpp"
 #include "sim/mpi.hpp"
@@ -165,8 +166,7 @@ int main(int argc, char** argv) {
   w.member("steps", steps);
   w.member("fibers", fibers);
   w.member("repeat", repeat);
-  w.member("hardware_concurrency",
-           static_cast<std::uint64_t>(std::thread::hardware_concurrency()));
+  bench::write_host(w);
   w.key("results").begin_array();
   for (const int threads : thread_counts) {
     const RunResult off = run_best(fibers, threads, steps, false, repeat);

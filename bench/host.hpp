@@ -1,8 +1,9 @@
 // Host block of the engineering benches' JSON reports (bench_engine,
-// bench_scale): usable cores, std::thread::hardware_concurrency(), build
-// type, compiler and `git describe` of the source checkout, so a committed
-// row records where it was measured. Targets including this header define
-// CHAM_BUILD_TYPE and CHAM_SOURCE_DIR (bench/CMakeLists.txt).
+// bench_profiler, bench_scale): usable cores,
+// std::thread::hardware_concurrency(), build type, compiler and
+// `git describe` of the source checkout, so a committed row records where
+// it was measured. Targets including this header define CHAM_BUILD_TYPE
+// and CHAM_SOURCE_DIR (bench/CMakeLists.txt).
 #pragma once
 
 #include <sched.h>

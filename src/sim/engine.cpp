@@ -184,14 +184,13 @@ void Engine::drain_inbox(Rank self) {
   race::ScopedSync lock("engine.inbox", static_cast<std::uint64_t>(self));
   RACE_WRITE("engine.inbox", static_cast<std::uint64_t>(self), 0);
   auto& box = inbox_[s];
-  while (!box.empty()) {
-    auto [req, msg] = std::move(box.front());
-    box.pop_front();
+  for (auto& [req, msg] : box) {
     RACE_WRITE("engine.requests", static_cast<std::uint64_t>(self), 0);
     RequestState& state = request_state(self, req);
     state.msg = std::move(msg);
     state.complete = true;
   }
+  box.clear();
 }
 
 CommResult Engine::pmpi_send(Rank self, int comm, Rank dest, int tag,
@@ -253,7 +252,7 @@ CommResult Engine::pmpi_send(Rank self, int comm, Rank dest, int tag,
       return CommResult::kOk;
     }
   }
-  unexpected_[box(comm, dest)].push_back(std::move(msg));
+  unexpected_[box(comm, dest)].emplace_back(std::move(msg));
   return CommResult::kOk;
 }
 
@@ -303,7 +302,7 @@ Request Engine::pmpi_irecv(Rank self, int comm, Rank src, int tag,
       return req;
     }
   }
-  pending_[box(comm, self)].push_back(want);
+  pending_[box(comm, self)].emplace_back(want);
   return req;
 }
 
@@ -659,10 +658,8 @@ bool Engine::approximate_progress_step() {
         RACE_WRITE("engine.queues", static_cast<std::uint64_t>(comm),
                    static_cast<std::uint64_t>(r));
         auto& posted = pending_[box(comm, r)];
-        while (!posted.empty()) {
-          cancelled.push_back(posted.front());
-          posted.pop_front();
-        }
+        cancelled.assign(posted.begin(), posted.end());
+        posted.clear();
       }
       for (const PendingRecv& want : cancelled) {
         Message msg;
@@ -871,7 +868,7 @@ bool Engine::rank_finished(Rank r) const {
 std::vector<PendingRecvInfo> Engine::pending_recvs(int comm, Rank r) const {
   std::vector<PendingRecvInfo> out;
   const prof::TimedLockGuard mbox_lock(mbox_m_[box(comm, r)], prof::LockClass::kMailbox);
-  for (const PendingRecv& p : pending_.at(box(comm, r)))
+  for (const PendingRecv& p : pending_.at(box(comm, r)).view())
     out.push_back({p.src_match, p.tag_match});
   return out;
 }

@@ -15,14 +15,15 @@
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "sim/fifo.hpp"
 #include "sim/netmodel.hpp"
 #include "sim/shard.hpp"
 #include "sim/types.hpp"
@@ -301,9 +302,9 @@ class Engine {
   [[nodiscard]] bool rank_finished(Rank r) const;
   /// Sent-but-never-received messages queued at rank r on `comm` — any
   /// entry surviving MPI_Finalize is a message leak.
-  [[nodiscard]] const std::deque<Message>& unexpected_messages(int comm,
-                                                              Rank r) const {
-    return unexpected_.at(box(comm, r));
+  [[nodiscard]] std::span<const Message> unexpected_messages(int comm,
+                                                            Rank r) const {
+    return unexpected_.at(box(comm, r)).view();
   }
   /// Posted receives still waiting for a matching send.
   [[nodiscard]] std::vector<PendingRecvInfo> pending_recvs(int comm,
@@ -435,11 +436,11 @@ class Engine {
   std::unique_ptr<std::mutex[]> mbox_m_;             // [comm*P + rank]
   std::unique_ptr<std::mutex[]> inbox_m_;            // [rank]
   std::mutex collmap_m_;
-  std::vector<std::deque<Message>> unexpected_;     // [comm*P + rank]
-  std::vector<std::deque<PendingRecv>> pending_;    // [comm*P + rank]
+  std::vector<Fifo<Message>> unexpected_;           // [comm*P + rank]
+  std::vector<Fifo<PendingRecv>> pending_;          // [comm*P + rank]
   std::vector<std::vector<RequestState>> requests_;  // [rank]
   /// Completed-delivery inboxes, one per receiving rank (see deliver()).
-  std::vector<std::deque<std::pair<Request, Message>>> inbox_;  // [rank]
+  std::vector<Fifo<std::pair<Request, Message>>> inbox_;  // [rank]
   std::vector<std::uint64_t> coll_seq_;              // [comm*P + rank]
   std::map<std::pair<int, std::uint64_t>, CollSite> coll_sites_;
 

@@ -5,10 +5,18 @@
 // "delta times are represented in histograms for repetitive signatures").
 // This lets load-imbalanced codes (Sweep3D) compress without losing the
 // timing distribution the replayer needs.
+//
+// Storage is sparse: until a sample or a merged bin lands outside bin 0 the
+// 16 bins are implicit (bin 0 holds every sample, the rest are 0), and only
+// then is the bin array allocated. Most trace events never get there — a
+// histogram whose range is still a single value bins everything into bin
+// 0 — so an event carries 40 bytes of histogram rather than 160. The
+// binning itself is independent of the storage: same bins, same wire bytes.
 #pragma once
 
 #include <array>
 #include <cstdint>
+#include <memory>
 #include <string>
 
 namespace cham::support {
@@ -18,6 +26,10 @@ class Histogram {
   static constexpr int kBins = 16;
 
   Histogram() = default;
+  Histogram(const Histogram& other);
+  Histogram& operator=(const Histogram& other);
+  Histogram(Histogram&&) noexcept = default;
+  Histogram& operator=(Histogram&&) noexcept = default;
 
   /// Record a sample (seconds, or any non-negative quantity).
   void add(double value);
@@ -34,7 +46,7 @@ class Histogram {
   [[nodiscard]] double total() const { return sum_; }
 
   /// Count in bin i of the current [min,max] range.
-  [[nodiscard]] std::uint64_t bin(int i) const { return bins_.at(static_cast<std::size_t>(i)); }
+  [[nodiscard]] std::uint64_t bin(int i) const;
 
   /// Draw a representative sample for replay: the mean of the distribution.
   /// (ScalaReplay replays average delays; we keep the same policy.)
@@ -45,7 +57,8 @@ class Histogram {
   /// p is clamped into [0,1].
   [[nodiscard]] double percentile(double p) const;
 
-  /// Approximate serialized footprint in bytes (for space accounting).
+  /// Approximate serialized footprint in bytes (for space accounting). This
+  /// models the wire size Table IV accounts, not the in-memory size.
   [[nodiscard]] static constexpr std::size_t footprint_bytes() {
     return sizeof(std::uint64_t) * (kBins + 1) + sizeof(double) * 3;
   }
@@ -58,15 +71,18 @@ class Histogram {
   static Histogram from_raw(const std::array<std::uint64_t, kBins>& bins,
                             std::uint64_t count, double min, double max,
                             double sum);
-  [[nodiscard]] const std::array<std::uint64_t, kBins>& raw_bins() const {
-    return bins_;
-  }
 
  private:
+  using Bins = std::array<std::uint64_t, kBins>;
+
   void rebin(double new_min, double new_max);
   [[nodiscard]] int bin_index(double value) const;
+  /// Adds c to bin i and to count_; implicit bins allocate when i is not 0.
+  void deposit(int i, std::uint64_t c);
+  /// The allocated bins, materialised from the implicit ones if needed.
+  Bins& spread();
 
-  std::array<std::uint64_t, kBins> bins_{};
+  std::unique_ptr<Bins> bins_;  ///< null: bin 0 == count_, the rest 0
   std::uint64_t count_ = 0;
   double min_ = 0.0;
   double max_ = 0.0;

@@ -32,7 +32,7 @@ std::uint64_t intern_site(std::string_view name) {
   const std::uint64_t id = site_id(name);
   RACE_ATOMIC("trace.sites", 0, 0);
   const std::lock_guard<std::mutex> lock(sites_mutex());
-  site_names().emplace(id, std::string(name));
+  site_names().try_emplace(id, name);
   return id;
 }
 
@@ -47,7 +47,7 @@ void import_sites(
     const std::vector<std::pair<std::uint64_t, std::string>>& sites) {
   RACE_ATOMIC("trace.sites", 0, 0);
   const std::lock_guard<std::mutex> lock(sites_mutex());
-  for (const auto& [id, name] : sites) site_names().emplace(id, name);
+  for (const auto& [id, name] : sites) site_names().try_emplace(id, name);
 }
 
 std::string site_name(std::uint64_t site) {

@@ -1,11 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
 #include <numeric>
 #include <string>
 #include <vector>
 
 #include "sim/engine.hpp"
+#include "sim/fifo.hpp"
 #include "sim/mpi.hpp"
+#include "support/rng.hpp"
 
 namespace cham::sim {
 namespace {
@@ -198,6 +202,135 @@ TEST(P2P, ToolAndWorldTrafficDoNotMix) {
     }
   });
   EXPECT_EQ(world_payload, 42);
+}
+
+std::vector<int> queued_tags(const Engine& engine, Rank r) {
+  std::vector<int> tags;
+  for (const Message& m : engine.unexpected_messages(kCommWorld, r))
+    tags.push_back(m.tag);
+  return tags;
+}
+
+TEST(P2P, UnexpectedQueueKeepsArrivalOrderThroughTakesAndRefills) {
+  // Rank 0 collects 40 unexpected messages from 5 senders. Each tag names
+  // its sender and sequence number. On one thread a send never yields, so
+  // the order of `sent` is the order of rank 0's unexpected queue.
+  constexpr int kSenders = 5;
+  constexpr int kPerSender = 8;
+  Engine engine({.nprocs = kSenders + 1});
+  std::vector<int> sent;
+  std::vector<int> drained;
+  std::vector<int> refilled;
+  engine.run([&](Mpi& mpi) {
+    const auto send_batch = [&](int round) {
+      for (int i = 0; i < kPerSender; ++i) {
+        const int tag = round * 1000 + mpi.rank() * 100 + i;
+        sent.push_back(tag);
+        mpi.send(0, 8, tag);
+      }
+    };
+    const auto drain = [&](std::vector<int>& out, std::size_t n) {
+      for (std::size_t i = 0; i < n; ++i) {
+        const RecvStatus st = mpi.recv(kAnySource, 8, kAnyTag);
+        EXPECT_EQ(st.source, (st.tag % 1000) / 100);
+        out.push_back(st.tag);
+      }
+    };
+    if (mpi.rank() != 0) {
+      send_batch(0);
+      mpi.barrier();
+      mpi.barrier();
+      send_batch(1);
+      mpi.barrier();
+      return;
+    }
+    mpi.barrier();  // every round-0 message is queued
+    ASSERT_EQ(queued_tags(engine, 0), sent);
+    // A specific-source receive takes one message out of the middle.
+    const std::size_t middle = sent.size() / 2;
+    const int middle_tag = sent[middle];
+    const RecvStatus st = mpi.recv((middle_tag % 1000) / 100, 8, middle_tag);
+    EXPECT_EQ(st.tag, middle_tag);
+    sent.erase(sent.begin() + static_cast<std::ptrdiff_t>(middle));
+    EXPECT_EQ(queued_tags(engine, 0), sent);
+    // MPI_ANY_SOURCE then drains the rest in arrival order.
+    drain(drained, sent.size());
+    EXPECT_EQ(drained, sent);
+    EXPECT_TRUE(engine.unexpected_messages(kCommWorld, 0).empty());
+    sent.clear();
+    mpi.barrier();  // senders refill the drained queue
+    mpi.barrier();
+    EXPECT_EQ(queued_tags(engine, 0), sent);
+    drain(refilled, sent.size());
+  });
+  EXPECT_EQ(refilled, sent);
+  EXPECT_EQ(drained.size(), kSenders * kPerSender - 1u);
+  EXPECT_TRUE(engine.unexpected_messages(kCommWorld, 0).empty());
+}
+
+TEST(P2P, PostedReceivesMatchTheirOwnSenderOutOfOrder) {
+  // Rank 0 posts one irecv per source in rank order; the senders then send
+  // in a shuffled order, chained by tokens, so matches hit the head, the
+  // middle and the tail of the posted-receive queue.
+  const std::vector<Rank> order = {4, 6, 1, 5, 2, 3};
+  Engine engine({.nprocs = 7});
+  std::vector<Rank> send_order;
+  std::vector<Rank> matched;
+  engine.run([&](Mpi& mpi) {
+    const Rank me = mpi.rank();
+    if (me == 0) {
+      std::vector<Request> reqs;
+      for (Rank src = 1; src <= 6; ++src)
+        reqs.push_back(mpi.irecv(src, 8, /*tag=*/5));
+      EXPECT_EQ(engine.pending_recvs(kCommWorld, 0).size(), 6u);
+      mpi.barrier();  // every receive is posted before any send
+      for (const Request req : reqs) matched.push_back(mpi.wait(req).source);
+      return;
+    }
+    mpi.barrier();
+    const auto pos = static_cast<std::size_t>(
+        std::find(order.begin(), order.end(), me) - order.begin());
+    if (pos > 0) mpi.recv(order[pos - 1], 1, /*tag=*/9);
+    send_order.push_back(me);
+    mpi.send(0, 8, /*tag=*/5);
+    if (pos + 1 < order.size()) mpi.send(order[pos + 1], 1, /*tag=*/9);
+  });
+  EXPECT_EQ(send_order, order);
+  const std::vector<Rank> expected = {1, 2, 3, 4, 5, 6};
+  EXPECT_EQ(matched, expected);
+  EXPECT_TRUE(engine.pending_recvs(kCommWorld, 0).empty());
+}
+
+TEST(Fifo, MatchesADequeUnderPushesAndErases) {
+  // Alternating grow and shrink phases drive the queue through drains,
+  // head removals past the compaction point and removals from the middle.
+  support::Rng rng(17);
+  Fifo<int> fifo;
+  std::deque<int> ref;
+  int next = 0;
+  for (int op = 0; op < 20000; ++op) {
+    const bool grow = (op / 400) % 2 == 0;
+    if (ref.empty() || rng.next_below(10) < (grow ? 7u : 3u)) {
+      fifo.emplace_back(next);
+      ref.push_back(next++);
+    } else {
+      const auto pos = rng.next_below(3) == 0 ? rng.next_below(ref.size()) : 0;
+      const auto at = static_cast<std::ptrdiff_t>(pos);
+      const auto it = fifo.erase(fifo.begin() + at);
+      ref.erase(ref.begin() + at);
+      if (pos < ref.size()) {
+        EXPECT_EQ(*it, ref[pos]);
+      } else {
+        EXPECT_TRUE(it == fifo.end());
+      }
+    }
+    ASSERT_EQ(fifo.view().size(), ref.size());
+    ASSERT_TRUE(std::equal(fifo.view().begin(), fifo.view().end(),
+                           ref.begin(), ref.end()))
+        << "op " << op;
+  }
+  fifo.clear();
+  EXPECT_TRUE(fifo.view().empty());
 }
 
 }  // namespace

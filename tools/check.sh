@@ -251,7 +251,8 @@ grep -qF '"ph": "C"' "$prof_dir/timeline.json" ||
 
 # ChamProf overhead bench (release build): profiled and unprofiled engine
 # digests must match at smoke scale, and the committed
-# bench_results/BENCH_profiler.json must carry the documented schema.
+# bench_results/BENCH_profiler.json must carry the documented schema and a
+# host block.
 echo "=== [release] bench_profiler smoke ==="
 profbench_json="build-check/release/bench_profiler_smoke.json"
 build-check/release/bench/bench_profiler --smoke --out "$profbench_json" \
@@ -262,8 +263,8 @@ for key in '"schema": "chameleon.bench_profiler.v1"' '"results"' \
     { echo "bench_profiler smoke: missing $key in $profbench_json" >&2
       exit 1; }
 done
-for key in '"schema": "chameleon.bench_profiler.v1"' '"overhead_ratio"' \
-           '"digests_match": true'; do
+for key in '"schema": "chameleon.bench_profiler.v1"' '"host"' \
+           '"overhead_ratio"' '"digests_match": true'; do
   grep -qF "$key" bench_results/BENCH_profiler.json ||
     { echo "BENCH_profiler.json: missing $key" >&2; exit 1; }
 done

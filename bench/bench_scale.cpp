@@ -108,7 +108,7 @@ RowResult run_row(int nprocs, int threads, int steps) {
   row.table_digest = digest(tool.clusters().encode());
   row.structure_digest =
       digest(trace::encode_trace_structure(tool.online_trace()));
-  row.events_recorded = tool.perf_counters().folds_performed;
+  row.events_recorded = tool.events_recorded_total();
   row.merge_operations = tool.merge_operations();
   row.merge_zip_hits = tool.perf_counters().merge_zip_hits;
   row.clusters = tool.clusters().total_clusters();

@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 
 #include "core/acurdion.hpp"
 #include "sim/engine.hpp"
@@ -33,49 +34,45 @@ RunOutcome run_experiment(ToolKind kind, const RunConfig& config,
   sim::Engine engine({.nprocs = config.nprocs});
   trace::CallSiteRegistry stacks(config.nprocs);
 
-  std::optional<trace::ScalaTraceTool> scalatrace;
-  std::optional<core::ChameleonTool> chameleon;
-  std::optional<core::AcurdionTool> acurdion;
+  std::unique_ptr<trace::ScalaTraceTool> tool;
+  core::ChameleonTool* chameleon = nullptr;
+  core::AcurdionTool* acurdion = nullptr;
   switch (kind) {
     case ToolKind::kNone:
       break;
     case ToolKind::kScalaTrace:
-      scalatrace.emplace(config.nprocs, &stacks,
-                         trace::TracerOptions{.max_window = cham.max_window});
-      engine.set_tool(&*scalatrace);
+      tool = std::make_unique<trace::ScalaTraceTool>(
+          config.nprocs, &stacks,
+          trace::TracerOptions{.max_window = cham.max_window});
       break;
     case ToolKind::kChameleon:
-      chameleon.emplace(config.nprocs, &stacks, cham);
-      engine.set_tool(&*chameleon);
+      tool = std::make_unique<core::ChameleonTool>(config.nprocs, &stacks, cham);
+      chameleon = static_cast<core::ChameleonTool*>(tool.get());
       break;
     case ToolKind::kAcurdion:
-      acurdion.emplace(config.nprocs, &stacks, cham);
-      engine.set_tool(&*acurdion);
+      tool = std::make_unique<core::AcurdionTool>(config.nprocs, &stacks, cham);
+      acurdion = static_cast<core::AcurdionTool*>(tool.get());
       break;
   }
+  if (tool) engine.set_tool(tool.get());
 
   engine.run([&](sim::Mpi& mpi) { info->run(mpi, stacks, config.params); });
 
   RunOutcome out;
   out.app_vtime = engine.max_vtime();
   out.vtime_sum = engine.vtime_sum();
-  if (scalatrace.has_value()) {
-    out.intra_seconds = scalatrace->intra_seconds();
-    out.merge_operations = scalatrace->merge_operations();
-    out.merge_bytes = scalatrace->merge_bytes();
-    out.inter_seconds = scalatrace->inter_seconds();
-    out.tool_cpu_seconds = out.intra_seconds + out.inter_seconds;
-    out.overhead_seconds = out.inter_seconds;
-    out.trace = scalatrace->global_trace();
-  } else if (chameleon.has_value()) {
-    out.intra_seconds = chameleon->intra_seconds();
-    out.merge_operations = chameleon->merge_operations();
-    out.merge_bytes = chameleon->merge_bytes();
-    out.clustering_seconds = chameleon->clustering_seconds();
-    out.inter_seconds = chameleon->inter_seconds();
-    out.tool_cpu_seconds = chameleon->total_tool_seconds();
-    out.overhead_seconds = out.clustering_seconds + out.inter_seconds;
-    out.trace = chameleon->online_trace();
+  if (!tool) return out;
+  out.intra_seconds = tool->intra_seconds();
+  out.merge_operations = tool->merge_operations();
+  out.merge_bytes = tool->merge_bytes();
+  out.clustering_seconds = tool->clustering_seconds();
+  out.inter_seconds = tool->inter_seconds();
+  out.tool_cpu_seconds = tool->total_tool_seconds();
+  out.overhead_seconds = out.clustering_seconds + out.inter_seconds;
+  out.trace = chameleon != nullptr ? chameleon->online_trace()
+                                   : tool->global_trace();
+  if (acurdion != nullptr) out.effective_k = acurdion->effective_k();
+  if (chameleon != nullptr) {
     out.markers_processed = chameleon->marker_calls_processed();
     for (std::size_t s = 0; s < 4; ++s) {
       out.state_counts[s] =
@@ -94,16 +91,6 @@ RunOutcome run_experiment(ToolKind kind, const RunConfig& config,
         }
       }
     }
-  } else if (acurdion.has_value()) {
-    out.intra_seconds = acurdion->intra_seconds();
-    out.merge_operations = acurdion->merge_operations();
-    out.merge_bytes = acurdion->merge_bytes();
-    out.clustering_seconds = acurdion->clustering_seconds();
-    out.inter_seconds = acurdion->inter_seconds();
-    out.tool_cpu_seconds = acurdion->total_tool_seconds();
-    out.overhead_seconds = out.clustering_seconds + out.inter_seconds;
-    out.trace = acurdion->global_trace();
-    out.effective_k = acurdion->effective_k();
   }
   return out;
 }

@@ -10,7 +10,6 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 

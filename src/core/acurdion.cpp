@@ -2,15 +2,8 @@
 
 #include "analysis/race/annotate.hpp"
 #include "core/protocol.hpp"
-#include "sim/mpi.hpp"
-#include "support/timer.hpp"
-#include "trace/serialize.hpp"
 
 namespace cham::core {
-
-namespace {
-constexpr int kOnlineTag = 0x7A02;
-}  // namespace
 
 AcurdionTool::AcurdionTool(int nprocs, trace::CallSiteRegistry* stacks,
                            ChameleonConfig config)
@@ -18,14 +11,7 @@ AcurdionTool::AcurdionTool(int nprocs, trace::CallSiteRegistry* stacks,
                      trace::TracerOptions{.max_window = config.max_window,
                                           .merge_at_finalize = false}),
       config_(config),
-      whole_run_(static_cast<std::size_t>(nprocs)),
-      rank_clustering_seconds_(static_cast<std::size_t>(nprocs), 0.0) {}
-
-double AcurdionTool::clustering_seconds() const {
-  double total = 0.0;
-  for (const double seconds : rank_clustering_seconds_) total += seconds;
-  return total;
-}
+      whole_run_(static_cast<std::size_t>(nprocs)) {}
 
 void AcurdionTool::observe_event(sim::Rank rank,
                                  const trace::EventRecord& record,
@@ -40,63 +26,22 @@ void AcurdionTool::handle_finalize(sim::Rank rank, sim::Pmpi& pmpi) {
       whole_run_[static_cast<std::size_t>(rank)].current();
 
   ClusterProtocolStats stats;
-  cluster::ClusterSet table = hierarchical_cluster(
-      rank, pmpi, sig, config_.k, config_.policy, config_.seed, &stats);
-  rank_clustering_seconds_[static_cast<std::size_t>(rank)] +=
-      stats.cpu_seconds;
-  rank_perf(rank).bytes_encoded += stats.bytes_encoded;
-  rank_perf(rank).bytes_decoded += stats.bytes_decoded;
+  const cluster::ClusterSet table =
+      hierarchical_cluster(rank, pmpi, sig, config_.k, config_.policy,
+                           config_.seed, rank_perf(rank), &stats);
   if (rank == 0) {
     RACE_WRITE("acurdion.table", 0, 0);
     clusters_ = table;
     effective_k_ = stats.effective_k;
   }
 
-  const cluster::ClusterEntry* entry = table.cluster_of(rank);
-  const bool is_lead = entry != nullptr && entry->lead == rank;
-  const std::vector<sim::Rank> leads = table.leads();
-  trace::RankTraceState& st = state(rank);
-
-  std::vector<trace::TraceNode> merged;
-  if (is_lead) {
-    std::vector<trace::TraceNode> nodes = st.intra.take();
-    {
-      trace::ChargedSection timed(st.inter_timer, pmpi);
-      trace::substitute_ranks(nodes, entry->members);
-    }
-    merged = radix_merge(rank, leads, std::move(nodes), pmpi);
-  } else {
-    st.intra.clear();
-  }
-
-  const sim::Rank merge_root = leads.front();
-  if (merge_root != 0) {
-    if (rank == merge_root) {
-      std::vector<std::uint8_t> payload;
-      {
-        trace::ChargedSection timed(st.inter_timer, pmpi);
-        payload = trace::encode_trace(merged);
-      }
-      rank_perf(rank).bytes_encoded += payload.size();
-      pmpi.send_bytes(0, kOnlineTag, std::move(payload));
-      merged.clear();
-    } else if (rank == 0) {
-      std::vector<std::uint8_t> payload = pmpi.recv_bytes(merge_root, kOnlineTag);
-      rank_perf(rank).bytes_decoded += payload.size();
-      trace::ChargedSection timed(st.inter_timer, pmpi);
-      merged = trace::decode_trace(payload);
-    }
-  }
+  // Only the K lead traces reach the global trace, which rank 0 keeps.
+  std::vector<trace::TraceNode> merged = merge_leads(
+      rank, table.leads(), led_members(table, rank), /*home=*/0, pmpi);
   if (rank == 0) {
     RACE_WRITE("trace.global", 0, 0);
     global_ = std::move(merged);
   }
-}
-
-const trace::PerfCounters& AcurdionTool::perf_counters() const {
-  (void)ScalaTraceTool::perf_counters();  // aggregates + intra/inter seconds
-  perf_.clustering_seconds = clustering_seconds();
-  return perf_;
 }
 
 }  // namespace cham::core

@@ -23,15 +23,7 @@ class AcurdionTool : public trace::ScalaTraceTool {
   [[nodiscard]] const cluster::ClusterSet& clusters() const {
     return clusters_;
   }
-  [[nodiscard]] double clustering_seconds() const;
   [[nodiscard]] std::size_t effective_k() const { return effective_k_; }
-  /// Total tool overhead: intra tracing + one clustering + lead merge.
-  [[nodiscard]] double total_tool_seconds() const {
-    return intra_seconds() + clustering_seconds() + inter_seconds();
-  }
-
-  /// Base counters plus the clustering phase time.
-  [[nodiscard]] const trace::PerfCounters& perf_counters() const override;
 
  protected:
   void observe_event(sim::Rank rank, const trace::EventRecord& record,
@@ -42,9 +34,6 @@ class AcurdionTool : public trace::ScalaTraceTool {
   ChameleonConfig config_;
   std::vector<cluster::IntervalSignature> whole_run_;
   cluster::ClusterSet clusters_;  // rank-0 view
-  /// Per-rank clustering CPU; each fiber writes only its own slot
-  /// (ChamRace invariant, same discipline as the base tracer's counters).
-  std::vector<double> rank_clustering_seconds_;
   std::size_t effective_k_ = 0;  // written by rank 0 only
 };
 

@@ -12,30 +12,10 @@
 #include "sim/mpi.hpp"
 #include "support/hash.hpp"
 #include "support/logging.hpp"
-#include "support/timer.hpp"
 #include "trace/callsite.hpp"
 #include "trace/serialize.hpp"
 
 namespace cham::core {
-
-namespace {
-/// Tool-comm tag for the rank-0 handoff of the per-interval global trace.
-constexpr int kOnlineTag = 0x7A02;
-
-class CpuSection {
- public:
-  explicit CpuSection(double* sink)
-      : sink_(sink), start_(support::thread_cpu_seconds()) {}
-  ~CpuSection() { *sink_ += support::thread_cpu_seconds() - start_; }
-  CpuSection(const CpuSection&) = delete;
-  CpuSection& operator=(const CpuSection&) = delete;
-
- private:
-  double* sink_;
-  double start_;
-};
-
-}  // namespace
 
 const char* marker_state_name(MarkerState state) {
   switch (state) {
@@ -56,7 +36,6 @@ ChameleonTool::ChameleonTool(int nprocs, trace::CallSiteRegistry* stacks,
       cham_(static_cast<std::size_t>(nprocs)),
       bytes_(static_cast<std::size_t>(nprocs)),
       rank_state_seconds_(static_cast<std::size_t>(nprocs)),
-      rank_clustering_seconds_(static_cast<std::size_t>(nprocs), 0.0),
       mem_(static_cast<std::size_t>(nprocs)) {
   CHAM_CHECK_MSG(config_.k >= 1, "K must be at least 1");
   CHAM_CHECK_MSG(config_.call_frequency >= 1, "Call_Frequency must be >= 1");
@@ -107,12 +86,6 @@ double ChameleonTool::state_seconds(MarkerState state) const {
   double total = 0.0;
   for (const auto& per_rank : rank_state_seconds_)
     total += per_rank[static_cast<std::size_t>(state)];
-  return total;
-}
-
-double ChameleonTool::clustering_seconds() const {
-  double total = 0.0;
-  for (const double seconds : rank_clustering_seconds_) total += seconds;
   return total;
 }
 
@@ -246,9 +219,16 @@ void ChameleonTool::observe_event(sim::Rank rank,
   cs.interval.observe(record);
 }
 
+cluster::RankSignature ChameleonTool::close_interval(sim::Rank rank) {
+  RankChamState& cs = cham_[static_cast<std::size_t>(rank)];
+  const trace::ToolSection timed(rank_perf(rank).clustering_seconds);
+  cluster::RankSignature sig = cs.interval.current();
+  cs.interval.reset();
+  return sig;
+}
+
 MarkerAction ChameleonTool::algorithm1(sim::Rank rank, sim::Pmpi& pmpi,
-                                       const cluster::RankSignature& sig,
-                                       double* cpu) {
+                                       const cluster::RankSignature& sig) {
   RankChamState& cs = cham_[static_cast<std::size_t>(rank)];
   if (cs.first_marker) {
     // First marker: no history to compare against; stay in AT without any
@@ -267,9 +247,8 @@ MarkerAction ChameleonTool::algorithm1(sim::Rank rank, sim::Pmpi& pmpi,
   const std::uint64_t glob = pmpi.bcast_u64(sum, home);
 
   // The local vote bookkeeping below is a handful of instructions — far
-  // below timer resolution; only the clustering path (*cpu via
-  // run_clustering) does measurable local work.
-  (void)cpu;
+  // below timer resolution, so it is not timed; only the clustering path
+  // (run_clustering) does measurable local work.
   cs.old_callpath = sig.callpath;
   if (glob == 0) {
     if (cs.reclustering) {
@@ -286,17 +265,14 @@ MarkerAction ChameleonTool::algorithm1(sim::Rank rank, sim::Pmpi& pmpi,
 }
 
 void ChameleonTool::run_clustering(sim::Rank rank, sim::Pmpi& pmpi,
-                                   const cluster::RankSignature& sig,
-                                   double* cpu) {
+                                   const cluster::RankSignature& sig) {
   RankChamState& cs = cham_[static_cast<std::size_t>(rank)];
   obs::Span span(obs::Timeline::rank_tid(rank), "clustering", "protocol");
   const obs::prof::PhaseScope phase(obs::prof::Phase::kClustering);
   ClusterProtocolStats stats;
-  cs.clusters = hierarchical_cluster(rank, pmpi, sig, config_.k,
-                                     config_.policy, config_.seed, &stats);
-  *cpu += stats.cpu_seconds;
-  rank_perf(rank).bytes_encoded += stats.bytes_encoded;
-  rank_perf(rank).bytes_decoded += stats.bytes_decoded;
+  cs.clusters =
+      hierarchical_cluster(rank, pmpi, sig, config_.k, config_.policy,
+                           config_.seed, rank_perf(rank), &stats);
   if (rank == cs.epoch_home) {
     // Single writer: only the epoch home publishes the clustering quota,
     // and home handoffs are barrier-ordered.
@@ -323,51 +299,19 @@ void ChameleonTool::lead_merge_into_online(sim::Rank rank, sim::Pmpi& pmpi) {
   RankChamState& cs = cham_[static_cast<std::size_t>(rank)];
   obs::Span span(obs::Timeline::rank_tid(rank), "lead_merge", "protocol");
   const obs::prof::PhaseScope phase(obs::prof::Phase::kLeadMerge);
-  const std::vector<sim::Rank> leads = cs.clusters.leads();
-  CHAM_CHECK_MSG(!leads.empty(), "merge without clusters");
-  const cluster::ClusterEntry* entry = cs.clusters.cluster_of(rank);
-  const bool is_lead = entry != nullptr && entry->lead == rank;
-  trace::RankTraceState& st = state(rank);
-
-  std::vector<trace::TraceNode> merged;
-  if (is_lead) {
-    std::vector<trace::TraceNode> nodes = st.intra.take();
-    {
-      trace::ChargedSection timed(st.inter_timer, pmpi);
-      trace::substitute_ranks(nodes, entry->members);
-    }
-    merged = radix_merge(rank, leads, std::move(nodes), pmpi);
-  }
-
-  // Hand the interval's global trace to the home rank (Algorithm 3 lines
-  // 36–44; rank 0 unless it died).
+  // All processes start over (line 47): partial intra-node traces vanish;
+  // only the last event's timing context survives (last_event_end). The
+  // interval's global trace lands at the home rank (lines 36–44; rank 0
+  // unless it died). A merge root that died mid-handoff takes the interval
+  // with it; the loss surfaces as a gap node at the next failure handling.
   const sim::Rank home = cs.epoch_home;
-  const sim::Rank merge_root = leads.front();
-  if (merge_root != home) {
-    if (rank == merge_root) {
-      std::vector<std::uint8_t> payload;
-      {
-        trace::ChargedSection timed(st.inter_timer, pmpi);
-        payload = trace::encode_trace(merged);
-      }
-      rank_perf(rank).bytes_encoded += payload.size();
-      pmpi.send_bytes(home, kOnlineTag, std::move(payload));
-      merged.clear();
-    } else if (rank == home) {
-      sim::RecvStatus status;
-      std::vector<std::uint8_t> payload =
-          pmpi.recv_bytes(merge_root, kOnlineTag, &status);
-      rank_perf(rank).bytes_decoded += payload.size();
-      trace::ChargedSection timed(st.inter_timer, pmpi);
-      // A merge root that died mid-handoff takes the interval with it; the
-      // loss surfaces as a gap node at the next failure handling.
-      if (!status.peer_failed) merged = trace::decode_trace(payload);
-    }
-  }
+  std::vector<trace::TraceNode> merged =
+      merge_leads(rank, cs.clusters.leads(), led_members(cs.clusters, rank),
+                  home, pmpi);
   if (rank == home && !merged.empty()) {
     obs::Span fold_span(obs::Timeline::rank_tid(rank), "append_fold", "trace");
     const obs::prof::PhaseScope phase(obs::prof::Phase::kFold);
-    trace::ChargedSection timed(st.inter_timer, pmpi);
+    const trace::ToolSection timed(rank_perf(rank).inter_seconds, pmpi);
     if (config_.checkpointer != nullptr) {
       // Stage the pre-append interval for the epoch delta: recovery reruns
       // exactly this append_online on the journaled image.
@@ -378,14 +322,17 @@ void ChameleonTool::lead_merge_into_online(sim::Rank rank, sim::Pmpi& pmpi) {
     trace::append_online(online_, std::move(merged), config_.max_window,
                          &rank_perf(rank));
   }
-
-  // All processes start over (line 47): partial intra-node traces vanish;
-  // only the last event's timing context survives (st.last_event_end).
-  st.intra.clear();
 }
 
-void ChameleonTool::account_marker(sim::Rank rank, MarkerState state_tag,
-                                   double sig_cpu, double cluster_cpu) {
+double ChameleonTool::protocol_seconds(sim::Rank rank) const {
+  const trace::PerfCounters& perf = rank_perf_counters(rank);
+  return perf.clustering_seconds + perf.inter_seconds;
+}
+
+void ChameleonTool::finish_epoch(sim::Rank rank, sim::Pmpi& pmpi,
+                                 MarkerState state_tag, MarkerAction action,
+                                 std::uint64_t intra_bytes,
+                                 double ledger_before, bool final_epoch) {
   const auto s = static_cast<std::size_t>(state_tag);
   if (rank == 0) {
     // Single writer by construction (only rank 0's fiber touches it).
@@ -394,9 +341,20 @@ void ChameleonTool::account_marker(sim::Rank rank, MarkerState state_tag,
   }
   RACE_WRITE("cham.rank", rank, 0);
   rank_state_seconds_[static_cast<std::size_t>(rank)][s] +=
-      sig_cpu + cluster_cpu;
-  rank_clustering_seconds_[static_cast<std::size_t>(rank)] +=
-      sig_cpu + cluster_cpu;
+      protocol_seconds(rank) - ledger_before;
+
+  // Table IV bookkeeping: the partial trace held during this interval plus
+  // (at rank 0) the online trace after this epoch's append.
+  StateBytes& bucket = bytes_[static_cast<std::size_t>(rank)][s];
+  ++bucket.calls;
+  bucket.bytes_total += intra_bytes;
+  if (rank == 0 && !online_.empty()) {
+    RACE_READ("cham.online", 0, 0);
+    bucket.bytes_total += trace::footprint_bytes(online_);
+  }
+
+  record_epoch(rank, state_tag, action, intra_bytes);
+  journal_epoch(rank, pmpi, state_tag, action, final_epoch);
 }
 
 void ChameleonTool::record_epoch(sim::Rank rank, MarkerState state_tag,
@@ -421,7 +379,7 @@ void ChameleonTool::record_epoch(sim::Rank rank, MarkerState state_tag,
     // Wire-image digest of what this epoch committed: the cluster table as
     // broadcast plus the online trace as it would ship. Appended by the
     // epoch home only; home handoffs are barrier-ordered. The trace side
-    // uses the structural projection — ChargedSection bills host CPU time
+    // uses the structural projection — ToolSection bills host CPU time
     // into the virtual clock, so the full wire image's delta histograms are
     // not reproducible even under an identical schedule.
     const std::vector<std::uint8_t> table = cs.clusters.encode();
@@ -575,26 +533,17 @@ void ChameleonTool::handle_marker_post(sim::Rank rank, sim::Pmpi& pmpi) {
 
   trace::RankTraceState& st = state(rank);
   const std::uint64_t intra_bytes_before = st.intra.footprint_bytes();
+  const double ledger_before = protocol_seconds(rank);
+  const cluster::RankSignature sig = close_interval(rank);
+  const MarkerAction action = algorithm1(rank, pmpi, sig);
 
-  double sig_cpu = 0.0;
-  cluster::RankSignature sig;
-  {
-    CpuSection section(&sig_cpu);
-    sig = cs.interval.current();
-    cs.interval.reset();
-  }
-
-  double cluster_cpu = 0.0;
-  const MarkerAction action = algorithm1(rank, pmpi, sig, &cluster_cpu);
-
-  const double inter_before = st.inter_timer.total();
   MarkerState state_tag = MarkerState::kAllTracing;
   switch (action) {
     case MarkerAction::kNone:
       state_tag = cs.lead_phase ? MarkerState::kLead : MarkerState::kAllTracing;
       break;
     case MarkerAction::kCluster:
-      run_clustering(rank, pmpi, sig, &cluster_cpu);
+      run_clustering(rank, pmpi, sig);
       lead_merge_into_online(rank, pmpi);
       cs.lead_phase = true;
       state_tag = MarkerState::kClustering;
@@ -607,24 +556,8 @@ void ChameleonTool::handle_marker_post(sim::Rank rank, sim::Pmpi& pmpi) {
       state_tag = MarkerState::kLead;
       break;
   }
-  const double inter_delta = st.inter_timer.total() - inter_before;
-  rank_state_seconds_[static_cast<std::size_t>(rank)]
-                     [static_cast<std::size_t>(state_tag)] += inter_delta;
-  account_marker(rank, state_tag, sig_cpu, cluster_cpu);
-
-  // Table IV bookkeeping: the partial trace held during this interval plus
-  // (at rank 0) the online trace after this marker's append.
-  StateBytes& bucket =
-      bytes_[static_cast<std::size_t>(rank)][static_cast<std::size_t>(state_tag)];
-  ++bucket.calls;
-  bucket.bytes_total += intra_bytes_before;
-  if (rank == 0 && !online_.empty()) {
-    RACE_READ("cham.online", 0, 0);
-    bucket.bytes_total += trace::footprint_bytes(online_);
-  }
-
-  record_epoch(rank, state_tag, action, intra_bytes_before);
-  journal_epoch(rank, pmpi, state_tag, action, /*final_epoch=*/false);
+  finish_epoch(rank, pmpi, state_tag, action, intra_bytes_before,
+               ledger_before, /*final_epoch=*/false);
 }
 
 void ChameleonTool::handle_finalize(sim::Rank rank, sim::Pmpi& pmpi) {
@@ -646,19 +579,9 @@ void ChameleonTool::handle_finalize(sim::Rank rank, sim::Pmpi& pmpi) {
     handle_failures(rank, pmpi);
     pmpi.barrier();
   }
-  trace::RankTraceState& st = state(rank);
-  const std::uint64_t intra_bytes_before = st.intra.footprint_bytes();
-
-  double sig_cpu = 0.0;
-  cluster::RankSignature sig;
-  {
-    CpuSection section(&sig_cpu);
-    sig = cs.interval.current();
-    cs.interval.reset();
-  }
-
-  double cluster_cpu = 0.0;
-  const double inter_before = st.inter_timer.total();
+  const std::uint64_t intra_bytes_before = state(rank).intra.footprint_bytes();
+  const double ledger_before = protocol_seconds(rank);
+  const cluster::RankSignature sig = close_interval(rank);
   MarkerAction final_action = MarkerAction::kFlush;
   if (cs.lead_phase) {
     // A clustering is active: the trailing events live in the lead traces.
@@ -667,33 +590,11 @@ void ChameleonTool::handle_finalize(sim::Rank rank, sim::Pmpi& pmpi) {
     // Forced re-clustering — MPI_Finalize guarantees a new Call-Path, so
     // Algorithm 1 is skipped and clustering runs unconditionally.
     final_action = MarkerAction::kCluster;
-    run_clustering(rank, pmpi, sig, &cluster_cpu);
+    run_clustering(rank, pmpi, sig);
     lead_merge_into_online(rank, pmpi);
   }
-  const double inter_delta = st.inter_timer.total() - inter_before;
-  rank_state_seconds_[static_cast<std::size_t>(rank)]
-                     [static_cast<std::size_t>(MarkerState::kFinal)] +=
-      inter_delta;
-  account_marker(rank, MarkerState::kFinal, sig_cpu, cluster_cpu);
-
-  StateBytes& bucket = bytes_[static_cast<std::size_t>(rank)]
-                             [static_cast<std::size_t>(MarkerState::kFinal)];
-  ++bucket.calls;
-  bucket.bytes_total += intra_bytes_before;
-  if (rank == 0 && !online_.empty()) {
-    RACE_READ("cham.online", 0, 0);
-    bucket.bytes_total += trace::footprint_bytes(online_);
-  }
-
-  record_epoch(rank, MarkerState::kFinal, final_action, intra_bytes_before);
-  journal_epoch(rank, pmpi, MarkerState::kFinal, final_action,
-                /*final_epoch=*/true);
-}
-
-const trace::PerfCounters& ChameleonTool::perf_counters() const {
-  (void)ScalaTraceTool::perf_counters();  // aggregates + intra/inter seconds
-  perf_.clustering_seconds = clustering_seconds();
-  return perf_;
+  finish_epoch(rank, pmpi, MarkerState::kFinal, final_action,
+               intra_bytes_before, ledger_before, /*final_epoch=*/true);
 }
 
 obs::ReportInput build_report_input(const ChameleonTool& tool,

@@ -65,8 +65,11 @@ class ChameleonTool : public trace::ScalaTraceTool {
   }
 
   // --- per-state tool CPU time, aggregated over ranks (Figure 8) ----------
-  // Accounting is kept strictly per rank (each fiber writes only its own
-  // slot — a ChamRace-checked invariant); the aggregates sum on demand.
+  // Each processed marker charges its state the growth of the rank's
+  // clustering + inter seconds, so the four states sum to
+  // clustering_seconds() + inter_seconds(). Accounting is kept strictly per
+  // rank (each fiber writes only its own slot — a ChamRace-checked
+  // invariant); the aggregates sum on demand.
   [[nodiscard]] double state_seconds(MarkerState state) const;
   /// Same accounting, kept per rank (ChamScope metrics export).
   [[nodiscard]] double rank_state_seconds(sim::Rank rank,
@@ -74,17 +77,8 @@ class ChameleonTool : public trace::ScalaTraceTool {
     return rank_state_seconds_.at(static_cast<std::size_t>(rank))
         .at(static_cast<std::size_t>(state));
   }
-  /// Clustering work (signatures + vote bookkeeping + tree clustering).
-  [[nodiscard]] double clustering_seconds() const;
   /// Online inter-compression work (lead merges + online append).
   [[nodiscard]] double online_inter_seconds() const { return inter_seconds(); }
-  /// Total Chameleon overhead: intra tracing + clustering + inter.
-  [[nodiscard]] double total_tool_seconds() const {
-    return intra_seconds() + clustering_seconds() + inter_seconds();
-  }
-
-  /// Base counters plus the clustering phase time.
-  [[nodiscard]] const trace::PerfCounters& perf_counters() const override;
 
   // --- per-rank, per-state memory accounting (Table IV) -------------------
   struct StateBytes {
@@ -178,18 +172,26 @@ class ChameleonTool : public trace::ScalaTraceTool {
   /// dies, then the lowest surviving rank.
   [[nodiscard]] static sim::Rank home_rank(sim::Pmpi& pmpi);
 
+  /// Close the rank's interval signature (timed as clustering, uncharged).
+  cluster::RankSignature close_interval(sim::Rank rank);
   MarkerAction algorithm1(sim::Rank rank, sim::Pmpi& pmpi,
-                          const cluster::RankSignature& sig, double* cpu);
+                          const cluster::RankSignature& sig);
   /// Hierarchical clustering + broadcast (Algorithm 3 lines 7–24).
   void run_clustering(sim::Rank rank, sim::Pmpi& pmpi,
-                      const cluster::RankSignature& sig, double* cpu);
+                      const cluster::RankSignature& sig);
   /// Lead-only inter-compression + online-trace append (lines 25–48).
   void lead_merge_into_online(sim::Rank rank, sim::Pmpi& pmpi);
-  void account_marker(sim::Rank rank, MarkerState state, double sig_cpu,
-                      double cluster_cpu);
-  /// ChamScope bookkeeping shared by marker and finalize processing: the
-  /// epoch record (home rank, when enabled), the state instant on the
-  /// timeline, and the per-rank partial-trace memory re-charge.
+  /// The rank's protocol ledger: its clustering + inter seconds so far.
+  [[nodiscard]] double protocol_seconds(sim::Rank rank) const;
+  /// Epoch accounting shared by marker and finalize processing: the state
+  /// count (rank 0), the ledger's growth since `ledger_before` charged to
+  /// the state, the Table IV bytes, the epoch record and the journal entry.
+  void finish_epoch(sim::Rank rank, sim::Pmpi& pmpi, MarkerState state,
+                    MarkerAction action, std::uint64_t intra_bytes,
+                    double ledger_before, bool final_epoch);
+  /// ChamScope bookkeeping of finish_epoch: the epoch record (home rank,
+  /// when enabled), the state instant on the timeline, and the per-rank
+  /// partial-trace memory re-charge.
   void record_epoch(sim::Rank rank, MarkerState state, MarkerAction action,
                     std::uint64_t intra_bytes);
 
@@ -216,9 +218,6 @@ class ChameleonTool : public trace::ScalaTraceTool {
   std::size_t num_callpaths_ = 0;  // written by the epoch home only
   std::vector<std::array<StateBytes, 4>> bytes_;
   std::vector<std::array<double, 4>> rank_state_seconds_;
-  /// Per-rank clustering CPU (sig + vote + tree); clustering_seconds()
-  /// sums. Single-writer per slot, like every other per-rank vector here.
-  std::vector<double> rank_clustering_seconds_;
   std::vector<support::MemTracker> mem_;
   std::vector<obs::EpochRecord> epochs_;  // appended by the epoch home only
   std::vector<std::uint64_t> epoch_digests_;  // appended by the epoch home

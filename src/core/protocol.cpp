@@ -2,7 +2,6 @@
 
 #include "sim/mpi.hpp"
 #include "support/logging.hpp"
-#include "support/timer.hpp"
 
 namespace cham::core {
 
@@ -11,26 +10,6 @@ constexpr int kClusterTag = 0x7A03;
 /// Tool-comm tag for orphaned subtree tables re-homed after a mid-reduction
 /// crash (see the salvage round in hierarchical_cluster).
 constexpr int kSalvageTag = 0x7A04;
-
-/// Times a section and charges it to the rank's virtual clock (clustering
-/// work is real compute on the node).
-class CpuSection {
- public:
-  CpuSection(double* sink, sim::Pmpi& pmpi)
-      : sink_(sink), pmpi_(pmpi), start_(support::thread_cpu_seconds()) {}
-  ~CpuSection() {
-    const double elapsed = support::thread_cpu_seconds() - start_;
-    *sink_ += elapsed;
-    pmpi_.engine().advance_compute(pmpi_.rank(), elapsed);
-  }
-  CpuSection(const CpuSection&) = delete;
-  CpuSection& operator=(const CpuSection&) = delete;
-
- private:
-  double* sink_;
-  sim::Pmpi& pmpi_;
-  double start_;
-};
 }  // namespace
 
 cluster::ClusterSet hierarchical_cluster(sim::Rank rank, sim::Pmpi& pmpi,
@@ -38,10 +17,8 @@ cluster::ClusterSet hierarchical_cluster(sim::Rank rank, sim::Pmpi& pmpi,
                                          std::size_t k,
                                          cluster::SelectPolicy policy,
                                          std::uint64_t seed,
+                                         trace::PerfCounters& perf,
                                          ClusterProtocolStats* stats) {
-  double cpu = 0.0;
-  std::uint64_t enc = 0;
-  std::uint64_t dec = 0;
   cluster::ClusterSet mine = cluster::ClusterSet::leaf(rank, sig);
   sim::Engine& eng = pmpi.engine();
   const bool ft = eng.fault_injection_enabled();
@@ -55,10 +32,10 @@ cluster::ClusterSet hierarchical_cluster(sim::Rank rank, sim::Pmpi& pmpi,
     if (idx & mask) {
       std::vector<std::uint8_t> payload;
       {
-        CpuSection section(&cpu, pmpi);
+        const trace::ToolSection section(perf.clustering_seconds, pmpi);
         payload = mine.encode();
       }
-      enc += payload.size();
+      perf.bytes_encoded += payload.size();
       const sim::CommResult sent = pmpi.send_bytes(
           static_cast<sim::Rank>(idx - mask), kClusterTag, std::move(payload));
       if (ft && sent != sim::CommResult::kOk) orphaned = true;
@@ -72,8 +49,8 @@ cluster::ClusterSet hierarchical_cluster(sim::Rank rank, sim::Pmpi& pmpi,
         // re-home themselves via the salvage round).
         std::vector<std::uint8_t> payload;
         if (pmpi.try_recv_bytes(child, kClusterTag, &payload)) {
-          dec += payload.size();
-          CpuSection section(&cpu, pmpi);
+          perf.bytes_decoded += payload.size();
+          const trace::ToolSection section(perf.clustering_seconds, pmpi);
           mine.absorb(cluster::ClusterSet::decode(payload));
           if (mine.total_clusters() > k) mine.shrink(k, policy, seed);
         }
@@ -83,8 +60,8 @@ cluster::ClusterSet hierarchical_cluster(sim::Rank rank, sim::Pmpi& pmpi,
       std::vector<std::uint8_t> payload = pmpi.recv_bytes(
           static_cast<sim::Rank>(idx + mask), kClusterTag, &status);
       if (status.peer_failed) continue;  // child died before sending
-      dec += payload.size();
-      CpuSection section(&cpu, pmpi);
+      perf.bytes_decoded += payload.size();
+      const trace::ToolSection section(perf.clustering_seconds, pmpi);
       mine.absorb(cluster::ClusterSet::decode(payload));
       if (mine.total_clusters() > k) mine.shrink(k, policy, seed);
     }
@@ -104,10 +81,10 @@ cluster::ClusterSet hierarchical_cluster(sim::Rank rank, sim::Pmpi& pmpi,
       if (orphaned && rank != refreshed) {
         std::vector<std::uint8_t> payload;
         {
-          CpuSection section(&cpu, pmpi);
+          const trace::ToolSection section(perf.clustering_seconds, pmpi);
           payload = mine.encode();
         }
-        enc += payload.size();
+        perf.bytes_encoded += payload.size();
         pmpi.send_bytes(refreshed, kSalvageTag, std::move(payload));
         mine = cluster::ClusterSet{};  // handed off
       }
@@ -115,8 +92,8 @@ cluster::ClusterSet hierarchical_cluster(sim::Rank rank, sim::Pmpi& pmpi,
       if (rank == eng.live_ranks().front()) {
         std::vector<std::uint8_t> payload;
         while (pmpi.try_recv_bytes(sim::kAnySource, kSalvageTag, &payload)) {
-          dec += payload.size();
-          CpuSection section(&cpu, pmpi);
+          perf.bytes_decoded += payload.size();
+          const trace::ToolSection section(perf.clustering_seconds, pmpi);
           mine.absorb(cluster::ClusterSet::decode(payload));
           if (mine.total_clusters() > k) mine.shrink(k, policy, seed);
         }
@@ -129,29 +106,20 @@ cluster::ClusterSet hierarchical_cluster(sim::Rank rank, sim::Pmpi& pmpi,
 
   std::vector<std::uint8_t> table;
   if (rank == root) {
-    CpuSection section(&cpu, pmpi);
+    const trace::ToolSection section(perf.clustering_seconds, pmpi);
     mine.shrink(k, policy, seed);
     if (stats != nullptr) {
       stats->num_callpaths = mine.num_callpaths();
       stats->effective_k = mine.total_clusters();
     }
     table = mine.encode();
-    enc += table.size();
+    perf.bytes_encoded += table.size();
   }
   table = pmpi.bcast_bytes(std::move(table), root);
-  if (rank != root) dec += table.size();
+  if (rank != root) perf.bytes_decoded += table.size();
 
-  cluster::ClusterSet result;
-  {
-    CpuSection section(&cpu, pmpi);
-    result = cluster::ClusterSet::decode(table);
-  }
-  if (stats != nullptr) {
-    stats->cpu_seconds += cpu;
-    stats->bytes_encoded += enc;
-    stats->bytes_decoded += dec;
-  }
-  return result;
+  const trace::ToolSection section(perf.clustering_seconds, pmpi);
+  return cluster::ClusterSet::decode(table);
 }
 
 }  // namespace cham::core

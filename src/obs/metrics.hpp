@@ -3,9 +3,9 @@
 // One process-wide registry of named metrics — counters, gauges, and
 // histograms — each carrying a label set ({rank, tool, phase, state, ...}).
 // The runtime does not update the registry on hot paths; instead the
-// existing cheap accumulators (trace::PerfCounters, support::MemTracker,
-// the per-rank SectionTimers inside the tools) are *bridged* into the
-// registry at report time. That keeps the instrumented code identical to
+// existing cheap accumulators (the tools' per-rank trace::PerfCounters
+// slots, including the per-phase seconds their ToolSections add up, and
+// support::MemTracker) are *bridged* into the registry at report time. That keeps the instrumented code identical to
 // the uninstrumented code until the moment a snapshot is requested.
 //
 // The registry is exported as one JSON document (schema

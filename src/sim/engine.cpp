@@ -437,6 +437,14 @@ void Engine::collective_arrive(
         RACE_ATOMIC("engine.counter.collectives", 0, 0);
         collectives_run_.fetch_add(1, std::memory_order_relaxed);
       }
+    } else {
+      // Approximate replay may have force-completed this collective without
+      // this rank (approximate_progress_step), leaving the site short. The
+      // late rank takes the forced result, so the site must outlive its
+      // extraction as well as that of every rank still waking up from the
+      // forced completion.
+      RACE_ATOMIC("engine.collsite.done", ucomm, slot);
+      if (site->done.load(std::memory_order_relaxed)) ++site->expected;
     }
   }
   const double own_arrive = vtime_[static_cast<std::size_t>(self)];

@@ -1,12 +1,14 @@
-// CPU-time measurement of tool code.
+// Host-time measurement of tool code.
 //
-// All ranks are fibers on one OS thread and timed sections never block, so
-// a section's monotonic elapsed time equals the CPU it consumed: nothing
-// else runs while the section executes. CLOCK_MONOTONIC is vDSO-served
-// (~20ns/call), an order of magnitude cheaper than thread-CPU clocks —
-// essential because the hottest sections measure sub-microsecond work.
-// The experiments aggregate these section times across ranks, mirroring
-// the paper's aggregated wall-clock.
+// Timed tool sections (trace::ToolSection) never block or yield, so the
+// shard worker thread that runs the section's fiber runs nothing else until
+// the section ends: its monotonic elapsed time is the CPU the section
+// consumed, unless the OS preempts the worker thread itself (more shards
+// than free cores). CLOCK_MONOTONIC is vDSO-served (~20ns/call), an order
+// of magnitude cheaper than thread-CPU clocks — essential because the
+// hottest sections measure sub-microsecond work. The experiments aggregate
+// these section times across ranks, mirroring the paper's aggregated
+// wall-clock.
 #pragma once
 
 #include <ctime>
@@ -21,31 +23,5 @@ inline double thread_cpu_seconds() {
   return static_cast<double>(ts.tv_sec) +
          static_cast<double>(ts.tv_nsec) * 1e-9;
 }
-
-/// Accumulates CPU time across start/stop sections.
-class SectionTimer {
- public:
-  void start() { start_ = thread_cpu_seconds(); }
-  void stop() { total_ += thread_cpu_seconds() - start_; }
-  void reset() { total_ = 0.0; }
-  [[nodiscard]] double total() const { return total_; }
-  void add(double seconds) { total_ += seconds; }
-
- private:
-  double start_ = 0.0;
-  double total_ = 0.0;
-};
-
-/// RAII section: accumulates into the given timer.
-class TimedSection {
- public:
-  explicit TimedSection(SectionTimer& timer) : timer_(timer) { timer_.start(); }
-  ~TimedSection() { timer_.stop(); }
-  TimedSection(const TimedSection&) = delete;
-  TimedSection& operator=(const TimedSection&) = delete;
-
- private:
-  SectionTimer& timer_;
-};
 
 }  // namespace cham::support

@@ -3,8 +3,13 @@
 #include <sstream>
 
 #include "obs/metrics.hpp"
+#include "sim/mpi.hpp"
 
 namespace cham::trace {
+
+void ToolSection::charge(sim::Pmpi& pmpi, double seconds) {
+  pmpi.engine().advance_compute(pmpi.rank(), seconds);
+}
 
 void PerfCounters::add(const PerfCounters& other) {
   fold_windows_tested += other.fold_windows_tested;
@@ -19,6 +24,8 @@ void PerfCounters::add(const PerfCounters& other) {
   merge_deep_rejects += other.merge_deep_rejects;
   merge_memo_hits += other.merge_memo_hits;
   merge_zip_hits += other.merge_zip_hits;
+  merge_operations += other.merge_operations;
+  merge_bytes += other.merge_bytes;
   bytes_encoded += other.bytes_encoded;
   bytes_decoded += other.bytes_decoded;
   intra_seconds += other.intra_seconds;

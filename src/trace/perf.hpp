@@ -1,10 +1,12 @@
-// Performance counters for the compression fast path.
+// Performance counters and the tool clock.
 //
 // The shape-hash fast path (docs/PERF.md) turns the fold/merge hot loops
 // into hash-compare-then-verify. These counters expose how often the O(1)
 // prechecks fire, how often they are wrong (hash collisions / endpoint
-// mismatches), and how much wire traffic the reductions move — the raw
-// material for `chamtrace run --perf` and the cham.fold/merge metrics.
+// mismatches), how much wire traffic the reductions move, and how much
+// host time the tool spends per phase — the raw material for
+// `chamtrace run --perf`, the cham.fold/merge metrics and the paper's
+// overhead figures.
 //
 // Tools keep one PerfCounters block *per rank*, written only by that
 // rank's fiber, and aggregate on demand at report time. A single shared
@@ -17,8 +19,14 @@
 #include <string>
 #include <string_view>
 
+#include "support/timer.hpp"
+
 namespace cham::obs {
 class MetricsRegistry;
+}
+
+namespace cham::sim {
+class Pmpi;
 }
 
 namespace cham::trace {
@@ -41,20 +49,58 @@ struct PerfCounters {
   std::uint64_t merge_zip_hits = 0;       ///< inter_merges zipped diagonally,
                                           ///< skipping the LCS table (dedup)
 
+  // --- radix merges (the receiving side of each pairwise fold) ---
+  std::uint64_t merge_operations = 0;     ///< child traces folded in
+  std::uint64_t merge_bytes = 0;          ///< compressed bytes received
+
   // --- wire traffic (encode/decode during reductions and handoffs) ---
   std::uint64_t bytes_encoded = 0;
   std::uint64_t bytes_decoded = 0;
 
-  // --- per-phase CPU seconds (filled by the owning tool at report time) ---
-  double intra_seconds = 0.0;
-  double inter_seconds = 0.0;
-  double clustering_seconds = 0.0;
+  // --- per-phase tool seconds (ToolSection accumulates them) ---
+  double intra_seconds = 0.0;       ///< intra-node appends and folds
+  double inter_seconds = 0.0;       ///< merges, handoffs, online append
+  double clustering_seconds = 0.0;  ///< signature close and tree clustering
 
   void add(const PerfCounters& other);
   void reset() { *this = PerfCounters{}; }
 
   /// Multi-line human-readable summary (the `chamtrace run --perf` block).
   [[nodiscard]] std::string to_string() const;
+};
+
+/// The tool clock: times one non-blocking stretch of tool work on a rank's
+/// fiber and adds the elapsed host seconds to `seconds`, one of the
+/// per-phase fields of that rank's PerfCounters slot. The charged form also
+/// advances the rank's virtual clock by the same amount: tool compute is
+/// real compute on the node, so it must delay that rank (and, transitively,
+/// everyone who waits on it) — this is what makes the aggregated
+/// virtual-time overhead reproduce the paper's aggregated wall-clock
+/// overhead, including the P-wide wait for the finalize-time merge chain.
+/// A section must not block: time a blocked fiber spends waiting belongs
+/// to the network model, not to the tool.
+class ToolSection {
+ public:
+  explicit ToolSection(double& seconds)
+      : seconds_(seconds), start_(support::thread_cpu_seconds()) {}
+  ToolSection(double& seconds, sim::Pmpi& pmpi)
+      : seconds_(seconds),
+        pmpi_(&pmpi),
+        start_(support::thread_cpu_seconds()) {}
+  ~ToolSection() {
+    const double elapsed = support::thread_cpu_seconds() - start_;
+    seconds_ += elapsed;
+    if (pmpi_ != nullptr) charge(*pmpi_, elapsed);
+  }
+  ToolSection(const ToolSection&) = delete;
+  ToolSection& operator=(const ToolSection&) = delete;
+
+ private:
+  static void charge(sim::Pmpi& pmpi, double seconds);
+
+  double& seconds_;
+  sim::Pmpi* pmpi_ = nullptr;
+  double start_;
 };
 
 /// Bridge one tool's counters into the ChamScope metrics registry under the

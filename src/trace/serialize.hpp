@@ -92,9 +92,9 @@ std::vector<TraceNode> decode_trace(const std::vector<std::uint8_t>& bytes);
 /// Schedule-invariant projection of the wire image: identical to
 /// encode_trace except that each delta-time histogram contributes only its
 /// sample count. The measured seconds (and the bin layout derived from
-/// their range) come from ChargedSection, which bills *host* CPU time into
-/// the virtual clock, so they legitimately differ run to run even for the
-/// same schedule. The determinism audit digests this projection; everything
+/// their range) come from the charged form of ToolSection, which bills
+/// *host* CPU time into the virtual clock, so they legitimately differ run
+/// to run even for the same schedule. The determinism audit digests this projection; everything
 /// it keeps — structure, call sites, endpoints, ranklists, sample counts —
 /// must be identical across scheduler seeds. Not decodable.
 std::vector<std::uint8_t> encode_trace_structure(

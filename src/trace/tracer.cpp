@@ -14,16 +14,10 @@ namespace cham::trace {
 namespace {
 /// Tool-comm tag for trace payloads during radix merges.
 constexpr int kMergeTag = 0x7A01;
+/// Tool-comm tag for the merge root's handoff of a lead merge to the home
+/// rank.
+constexpr int kOnlineTag = 0x7A02;
 }  // namespace
-
-ChargedSection::ChargedSection(support::SectionTimer& timer, sim::Pmpi& pmpi)
-    : timer_(timer), pmpi_(pmpi), start_(support::thread_cpu_seconds()) {}
-
-ChargedSection::~ChargedSection() {
-  const double elapsed = support::thread_cpu_seconds() - start_;
-  timer_.add(elapsed);
-  pmpi_.engine().advance_compute(pmpi_.rank(), elapsed);
-}
 
 ScalaTraceTool::ScalaTraceTool(int nprocs, CallSiteRegistry* stacks,
                                TracerOptions opts)
@@ -35,8 +29,6 @@ ScalaTraceTool::ScalaTraceTool(int nprocs, CallSiteRegistry* stacks,
   // event record starts as single(r).
   ranklist_intern_ensure_world(nprocs);
   rank_perf_.resize(static_cast<std::size_t>(nprocs));
-  rank_merge_ops_.assign(static_cast<std::size_t>(nprocs), 0);
-  rank_merge_bytes_.assign(static_cast<std::size_t>(nprocs), 0);
   state_.reserve(static_cast<std::size_t>(nprocs));
   for (int r = 0; r < nprocs; ++r)
     state_.emplace_back(opts_.max_window,
@@ -70,7 +62,7 @@ void ScalaTraceTool::on_post(sim::Rank rank, const sim::CallInfo& info,
 
   if (st.storing) {
     ++st.events_recorded;
-    support::TimedSection timed(st.intra_timer);
+    const ToolSection timed(rank_perf(rank).intra_seconds);
     st.intra.append(std::move(record));
   }
   st.last_event_end = pmpi.vtime();
@@ -151,9 +143,8 @@ std::vector<TraceNode> ScalaTraceTool::radix_merge(
                  "radix_merge: self not in participant list");
   const auto idx = static_cast<std::size_t>(it - participants.begin());
   const std::size_t n = participants.size();
-  RankTraceState& st = state(self);
   RACE_WRITE("trace.rank", self, 0);
-  trace::PerfCounters& perf = rank_perf(self);
+  PerfCounters& perf = rank_perf(self);
   obs::Span merge_span(obs::Timeline::rank_tid(self), "radix_merge", "trace",
                        {obs::arg_int("participants",
                                      static_cast<std::int64_t>(n))});
@@ -164,7 +155,7 @@ std::vector<TraceNode> ScalaTraceTool::radix_merge(
       // Ship the current partial result to the binomial parent and leave.
       std::vector<std::uint8_t> payload;
       {
-        ChargedSection timed(st.inter_timer, pmpi);
+        const ToolSection timed(perf.inter_seconds, pmpi);
         payload = encode_trace(mine);
       }
       perf.bytes_encoded += payload.size();
@@ -181,15 +172,15 @@ std::vector<TraceNode> ScalaTraceTool::radix_merge(
       // A crashed child takes its subtree's partials with it; the merge
       // continues with what the survivors hold.
       if (status.peer_failed) continue;
-      ++rank_merge_ops_[static_cast<std::size_t>(self)];
-      rank_merge_bytes_[static_cast<std::size_t>(self)] += payload.size();
+      ++perf.merge_operations;
+      perf.merge_bytes += payload.size();
       perf.bytes_decoded += payload.size();
       obs::Span step_span(
           obs::Timeline::rank_tid(self), "inter_merge", "trace",
           {obs::arg_int("child", participants[idx + mask]),
            obs::arg_int("bytes", static_cast<std::int64_t>(payload.size()))});
       const obs::prof::PhaseScope step_phase(obs::prof::Phase::kInterMerge);
-      ChargedSection timed(st.inter_timer, pmpi);
+      const ToolSection timed(perf.inter_seconds, pmpi);
       std::vector<TraceNode> theirs = decode_trace(payload);
       mine = inter_merge(std::move(mine), std::move(theirs), &perf);
     }
@@ -197,28 +188,46 @@ std::vector<TraceNode> ScalaTraceTool::radix_merge(
   return mine;
 }
 
-double ScalaTraceTool::intra_seconds() const {
-  double total = 0;
-  for (const auto& st : state_) total += st.intra_timer.total();
-  return total;
-}
+std::vector<TraceNode> ScalaTraceTool::merge_leads(
+    sim::Rank rank, const std::vector<sim::Rank>& leads,
+    const RankList* members, sim::Rank home, sim::Pmpi& pmpi) {
+  CHAM_CHECK_MSG(!leads.empty(), "merge without clusters");
+  RankTraceState& st = state(rank);
+  PerfCounters& perf = rank_perf(rank);
+  std::vector<TraceNode> merged;
+  if (members != nullptr) {
+    std::vector<TraceNode> nodes = st.intra.take();
+    {
+      const ToolSection timed(perf.inter_seconds, pmpi);
+      substitute_ranks(nodes, *members);
+    }
+    merged = radix_merge(rank, leads, std::move(nodes), pmpi);
+  } else {
+    st.intra.clear();
+  }
 
-double ScalaTraceTool::inter_seconds() const {
-  double total = 0;
-  for (const auto& st : state_) total += st.inter_timer.total();
-  return total;
-}
-
-std::uint64_t ScalaTraceTool::merge_operations() const {
-  std::uint64_t total = 0;
-  for (const std::uint64_t ops : rank_merge_ops_) total += ops;
-  return total;
-}
-
-std::uint64_t ScalaTraceTool::merge_bytes() const {
-  std::uint64_t total = 0;
-  for (const std::uint64_t bytes : rank_merge_bytes_) total += bytes;
-  return total;
+  const sim::Rank merge_root = leads.front();
+  if (merge_root == home) return merged;
+  if (rank == merge_root) {
+    std::vector<std::uint8_t> payload;
+    {
+      const ToolSection timed(perf.inter_seconds, pmpi);
+      payload = encode_trace(merged);
+    }
+    perf.bytes_encoded += payload.size();
+    pmpi.send_bytes(home, kOnlineTag, std::move(payload));
+    return {};
+  }
+  if (rank == home) {
+    sim::RecvStatus status;
+    std::vector<std::uint8_t> payload =
+        pmpi.recv_bytes(merge_root, kOnlineTag, &status);
+    perf.bytes_decoded += payload.size();
+    const ToolSection timed(perf.inter_seconds, pmpi);
+    // A merge root that died mid-handoff takes the merge with it.
+    if (!status.peer_failed) merged = decode_trace(payload);
+  }
+  return merged;
 }
 
 std::uint64_t ScalaTraceTool::events_recorded_total() const {
@@ -234,8 +243,6 @@ std::size_t ScalaTraceTool::rank_trace_bytes(sim::Rank r) const {
 const PerfCounters& ScalaTraceTool::perf_counters() const {
   perf_.reset();
   for (const PerfCounters& rp : rank_perf_) perf_.add(rp);
-  perf_.intra_seconds = intra_seconds();
-  perf_.inter_seconds = inter_seconds();
   return perf_;
 }
 

@@ -7,17 +7,17 @@
 // O(n^2 log P) step Chameleon attacks.
 //
 // Timing discipline: only pure-CPU segments (compression, signature and
-// merge work) run inside SectionTimers. Blocking communication is never
-// timed — on the fiber scheduler, thread CPU time advanced while blocked
-// would belong to other ranks. Communication cost still shows up in the
-// *virtual* clock, which the experiment harness reports separately.
+// merge work) run inside ToolSections, which add their host seconds to the
+// rank's PerfCounters slot. Blocking communication is never timed — on the
+// fiber scheduler, host time that passes while a fiber is blocked belongs
+// to other ranks. Communication cost still shows up in the *virtual*
+// clock, which the experiment harness reports separately.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
 #include "sim/tool.hpp"
-#include "support/timer.hpp"
 #include "trace/callsite.hpp"
 #include "trace/merge.hpp"
 #include "trace/perf.hpp"
@@ -49,27 +49,6 @@ struct RankTraceState {
   bool storing = true;
   std::uint64_t events_recorded = 0;
   std::uint64_t events_observed = 0;
-  support::SectionTimer intra_timer;
-  support::SectionTimer inter_timer;
-};
-
-/// Times a non-blocking tool section AND charges the elapsed time to the
-/// rank's virtual clock: tool compute is real compute on the node, so it
-/// must delay that rank (and, transitively, everyone who waits on it) —
-/// this is what makes the aggregated virtual-time overhead reproduce the
-/// paper's aggregated wall-clock overhead, including the P-wide wait for
-/// the finalize-time merge chain.
-class ChargedSection {
- public:
-  ChargedSection(support::SectionTimer& timer, sim::Pmpi& pmpi);
-  ~ChargedSection();
-  ChargedSection(const ChargedSection&) = delete;
-  ChargedSection& operator=(const ChargedSection&) = delete;
-
- private:
-  support::SectionTimer& timer_;
-  sim::Pmpi& pmpi_;
-  double start_;
 };
 
 class ScalaTraceTool : public sim::Tool {
@@ -90,15 +69,32 @@ class ScalaTraceTool : public sim::Tool {
   }
 
   // --- aggregated statistics (sum over ranks) ---
-  [[nodiscard]] double intra_seconds() const;
-  [[nodiscard]] double inter_seconds() const;
+  [[nodiscard]] double intra_seconds() const {
+    return perf_counters().intra_seconds;
+  }
+  [[nodiscard]] double inter_seconds() const {
+    return perf_counters().inter_seconds;
+  }
+  /// Signature close and tree clustering (Chameleon, ACURDION); 0 for
+  /// plain ScalaTrace, which does not cluster.
+  [[nodiscard]] double clustering_seconds() const {
+    return perf_counters().clustering_seconds;
+  }
+  /// Total tool overhead: intra tracing + clustering + inter compression.
+  [[nodiscard]] double total_tool_seconds() const {
+    return intra_seconds() + clustering_seconds() + inter_seconds();
+  }
   /// Hardware-independent inter-compression work: pairwise merge operations
   /// performed and compressed bytes shipped/merged across the whole run
   /// (summed over ranks). ScalaTrace performs P-1 merges at finalize;
   /// Chameleon (K-1) per re-clustering — the paper's O(n^2 log P) vs
   /// O(r n^2 log K) contrast.
-  [[nodiscard]] std::uint64_t merge_operations() const;
-  [[nodiscard]] std::uint64_t merge_bytes() const;
+  [[nodiscard]] std::uint64_t merge_operations() const {
+    return perf_counters().merge_operations;
+  }
+  [[nodiscard]] std::uint64_t merge_bytes() const {
+    return perf_counters().merge_bytes;
+  }
   [[nodiscard]] std::uint64_t events_recorded_total() const;
   [[nodiscard]] std::size_t rank_trace_bytes(sim::Rank r) const;
   [[nodiscard]] int nprocs() const { return nprocs_; }
@@ -106,13 +102,15 @@ class ScalaTraceTool : public sim::Tool {
     return state_.at(static_cast<std::size_t>(r));
   }
 
-  /// Tool-wide fast-path counters, aggregated on demand from the per-rank
-  /// counters (each rank's fiber only ever touches its own slot, so the hot
-  /// paths stay free of cross-rank writes — a precondition for the sharded
-  /// engine and what the ChamRace analyzer checks). The per-phase seconds
-  /// fields are filled lazily from the section timers; derived tools add
-  /// their clustering time.
-  [[nodiscard]] virtual const PerfCounters& perf_counters() const;
+  /// Tool-wide counters and per-phase seconds, aggregated on demand from
+  /// the per-rank slots (each rank's fiber only ever touches its own slot,
+  /// so the hot paths stay free of cross-rank writes — a precondition for
+  /// the sharded engine and what the ChamRace analyzer checks).
+  [[nodiscard]] const PerfCounters& perf_counters() const;
+  /// One rank's own slot (the per-rank metrics export).
+  [[nodiscard]] const PerfCounters& rank_perf_counters(sim::Rank r) const {
+    return rank_perf_.at(static_cast<std::size_t>(r));
+  }
 
  protected:
   RankTraceState& state(sim::Rank r) {
@@ -140,10 +138,23 @@ class ScalaTraceTool : public sim::Tool {
   /// Binomial-tree reduction of compressed traces over `participants`
   /// (sorted ascending; `self` must be a member). Returns the fully merged
   /// trace at participants[0], an empty vector elsewhere. Non-blocking CPU
-  /// work is charged to each participant's inter_timer.
+  /// work is charged to each participant's inter_seconds.
   std::vector<TraceNode> radix_merge(sim::Rank self,
                                      const std::vector<sim::Rank>& participants,
                                      std::vector<TraceNode> mine,
+                                     sim::Pmpi& pmpi);
+
+  /// The lead-only merge of a clustered tool (ACURDION at finalize,
+  /// Chameleon per interval). Every rank drops its partial trace; each lead
+  /// first rewrites its own into a trace for its whole cluster (`members`,
+  /// null on non-leads), the leads radix-merge, and the merge root
+  /// (leads[0]) hands the result to `home`. Returns the merged trace at
+  /// `home`, an empty vector elsewhere — and at `home` too when the merge
+  /// root died before the handoff. Every live rank calls it with the same
+  /// `leads` and `home`.
+  std::vector<TraceNode> merge_leads(sim::Rank rank,
+                                     const std::vector<sim::Rank>& leads,
+                                     const RankList* members, sim::Rank home,
                                      sim::Pmpi& pmpi);
 
   int nprocs_;
@@ -159,9 +170,6 @@ class ScalaTraceTool : public sim::Tool {
   mutable PerfCounters perf_;
   std::vector<RankTraceState> state_;
   std::vector<TraceNode> global_;
-  /// Per-rank merge work (the receiving side of each pairwise fold).
-  std::vector<std::uint64_t> rank_merge_ops_;
-  std::vector<std::uint64_t> rank_merge_bytes_;
 };
 
 }  // namespace cham::trace

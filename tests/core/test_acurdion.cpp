@@ -4,6 +4,9 @@
 
 #include "sim/engine.hpp"
 #include "sim/mpi.hpp"
+#include "support/hash.hpp"
+#include "trace/serialize.hpp"
+#include "workloads/workload.hpp"
 
 namespace cham::core {
 namespace {
@@ -98,6 +101,83 @@ TEST(Acurdion, ClusteringTimeIsSinglePass) {
   // both complete and report nonzero cost.
   EXPECT_GT(run_seconds(5), 0.0);
   EXPECT_GT(run_seconds(50), 0.0);
+}
+
+// ---------------------------------------------------------------------------
+// Frozen outputs: ACURDION's global trace structure, cluster table and merge
+// count for four paper workloads (class A, 12 steps, 64 ranks, default K),
+// recorded before its finalize merge moved onto the lead merge it shares
+// with Chameleon (ScalaTraceTool::merge_leads). Under k-random leads the
+// merge root is not rank 0, so lu and bt also pin the root's handoff to
+// rank 0. Repeated runs gave the same values; full wire images are not
+// compared (delta-time histograms carry host-measured seconds).
+// ---------------------------------------------------------------------------
+
+struct AcurdionFrozen {
+  const char* workload;
+  std::uint64_t structure_digest;
+  std::uint64_t table_digest;
+  std::uint64_t merge_operations;
+  cluster::SelectPolicy policy = cluster::SelectPolicy::kFarthest;
+};
+
+std::uint64_t digest(const std::vector<std::uint8_t>& bytes) {
+  return support::fnv1a64(bytes.data(), bytes.size());
+}
+
+void expect_frozen(const AcurdionFrozen& want) {
+  const workloads::WorkloadInfo* info = workloads::find_workload(want.workload);
+  ASSERT_NE(info, nullptr) << want.workload;
+  {
+    const int p = 64;
+    sim::Engine engine({.nprocs = p});
+    CallSiteRegistry stacks(p);
+    AcurdionTool tool(p, &stacks,
+                      {.k = info->default_k, .policy = want.policy, .seed = 1234});
+    engine.set_tool(&tool);
+    workloads::WorkloadParams params;
+    params.cls = 'A';
+    params.timesteps = 12;
+    engine.run([&](sim::Mpi& mpi) { info->run(mpi, stacks, params); });
+    EXPECT_EQ(digest(trace::encode_trace_structure(tool.global_trace())),
+              want.structure_digest)
+        << want.workload << ": global trace structure changed";
+    EXPECT_EQ(digest(tool.clusters().encode()), want.table_digest)
+        << want.workload << ": cluster table changed";
+    EXPECT_EQ(tool.merge_operations(), want.merge_operations) << want.workload;
+    if (want.policy == cluster::SelectPolicy::kRandom) {
+      EXPECT_NE(tool.clusters().leads().front(), 0) << "no handoff to rank 0";
+    }
+  }
+  // The tool's ranklists died with it; the next run starts from a clean
+  // intern table.
+  trace::ranklist_intern_reset();
+}
+
+TEST(Acurdion, FrozenLu) {
+  expect_frozen({"lu", 0x6bb706d59aa9f945ull, 0xa4c90ab0f318a820ull, 8});
+}
+
+TEST(Acurdion, FrozenBt) {
+  expect_frozen({"bt", 0x801b8d981a6a66d8ull, 0xa40aeca7cc2f930aull, 2});
+}
+
+TEST(Acurdion, FrozenSweep3d) {
+  expect_frozen({"sweep3d", 0x7c1c27f0d210d0a7ull, 0xdfa7e33641751196ull, 8});
+}
+
+TEST(Acurdion, FrozenPop) {
+  expect_frozen({"pop", 0xa3d9fd6439298a1dull, 0xf0826f51a160f4e7ull, 2});
+}
+
+TEST(Acurdion, FrozenLuRandomLeadsHandOff) {
+  expect_frozen({"lu", 0x4e0963a66233e0a7ull, 0x6744117fbac7a016ull, 8,
+                 cluster::SelectPolicy::kRandom});
+}
+
+TEST(Acurdion, FrozenBtRandomLeadsHandOff) {
+  expect_frozen({"bt", 0x971250ffa7883cf2ull, 0xebb5f4364b810d55ull, 2,
+                 cluster::SelectPolicy::kRandom});
 }
 
 }  // namespace

@@ -3,8 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include "core/acurdion.hpp"
 #include "sim/engine.hpp"
 #include "sim/mpi.hpp"
+#include "workloads/workload.hpp"
 
 namespace cham::core {
 namespace {
@@ -268,6 +270,89 @@ TEST(Chameleon, ChameleonInterWorkMuchSmallerThanScalaTrace) {
   // Participants: 3 leads versus 64 ranks. Allow generous slack — this is
   // a structural assertion, not a benchmark.
   EXPECT_LT(ch.tool.online_inter_seconds(), st.inter_seconds());
+}
+
+// ---------------------------------------------------------------------------
+// The tool ledger: every tool second lives in the per-rank PerfCounters
+// slots, and each view of it reads the same numbers.
+// ---------------------------------------------------------------------------
+
+TEST(Chameleon, StateSecondsSumToClusteringPlusInter) {
+  // Each processed marker charges its state the growth of the rank's
+  // clustering + inter seconds, so the four states partition them. lu_mod
+  // re-clusters, so every state and the flush path carry seconds.
+  const workloads::WorkloadInfo* info = workloads::find_workload("lu_mod");
+  ASSERT_NE(info, nullptr);
+  Harness h(64, {.k = info->default_k});
+  workloads::WorkloadParams params;
+  params.cls = 'A';
+  params.timesteps = 12;
+  params.perturb_every = 3;
+  h.engine.run([&](sim::Mpi& mpi) { info->run(mpi, h.stacks, params); });
+  ASSERT_GT(h.tool.reclusterings(), 1u);
+
+  double states = 0.0;
+  for (const MarkerState state :
+       {MarkerState::kAllTracing, MarkerState::kClustering, MarkerState::kLead,
+        MarkerState::kFinal})
+    states += h.tool.state_seconds(state);
+  const double ledger = h.tool.clustering_seconds() + h.tool.inter_seconds();
+  EXPECT_GT(h.tool.clustering_seconds(), 0.0);
+  EXPECT_GT(h.tool.inter_seconds(), 0.0);
+  EXPECT_NEAR(states, ledger, 1e-9 * ledger);
+}
+
+/// The aggregate counters, the seconds accessors and the per-rank slots
+/// must agree field by field.
+void expect_ledger_agrees(const trace::ScalaTraceTool& tool) {
+  const trace::PerfCounters& perf = tool.perf_counters();
+  EXPECT_EQ(perf.intra_seconds, tool.intra_seconds());
+  EXPECT_EQ(perf.inter_seconds, tool.inter_seconds());
+  EXPECT_EQ(perf.clustering_seconds, tool.clustering_seconds());
+  EXPECT_EQ(tool.total_tool_seconds(), tool.intra_seconds() +
+                                           tool.clustering_seconds() +
+                                           tool.inter_seconds());
+  double intra = 0.0;
+  double inter = 0.0;
+  double clustering = 0.0;
+  for (int r = 0; r < tool.nprocs(); ++r) {
+    intra += tool.rank_perf_counters(r).intra_seconds;
+    inter += tool.rank_perf_counters(r).inter_seconds;
+    clustering += tool.rank_perf_counters(r).clustering_seconds;
+  }
+  EXPECT_DOUBLE_EQ(intra, tool.intra_seconds());
+  EXPECT_DOUBLE_EQ(inter, tool.inter_seconds());
+  EXPECT_DOUBLE_EQ(clustering, tool.clustering_seconds());
+  EXPECT_GT(tool.intra_seconds(), 0.0);
+  EXPECT_GT(tool.inter_seconds(), 0.0);
+}
+
+TEST(ToolLedger, PerfCountersSecondsMatchAccessors) {
+  const int p = 16;
+  {
+    Harness h(p, {.k = 3});
+    h.engine.run([&](sim::Mpi& mpi) { steady_phase(mpi, h.stacks, 10); });
+    expect_ledger_agrees(h.tool);
+    EXPECT_GT(h.tool.clustering_seconds(), 0.0);
+  }
+  {
+    sim::Engine engine({.nprocs = p});
+    CallSiteRegistry stacks(p);
+    AcurdionTool tool(p, &stacks, {.k = 3});
+    engine.set_tool(&tool);
+    engine.run([&](sim::Mpi& mpi) { steady_phase(mpi, stacks, 10); });
+    expect_ledger_agrees(tool);
+    EXPECT_GT(tool.clustering_seconds(), 0.0);
+  }
+  {
+    sim::Engine engine({.nprocs = p});
+    CallSiteRegistry stacks(p);
+    trace::ScalaTraceTool tool(p, &stacks);
+    engine.set_tool(&tool);
+    engine.run([&](sim::Mpi& mpi) { steady_phase(mpi, stacks, 10); });
+    expect_ledger_agrees(tool);
+    EXPECT_EQ(tool.clustering_seconds(), 0.0);  // ScalaTrace never clusters
+  }
 }
 
 }  // namespace

@@ -10,8 +10,8 @@
 // frozen output of the seed semantics.
 //
 // Full wire images are deliberately NOT compared: delta-time histograms
-// embed ChargedSection host-CPU seconds, which legitimately differ between
-// two runs of the same schedule. Everything schedule- and host-invariant is
+// embed the host-CPU seconds a ToolSection charges to the virtual clock,
+// which legitimately differ between two runs of the same schedule. Everything schedule- and host-invariant is
 // pinned exactly.
 #include <gtest/gtest.h>
 
@@ -64,15 +64,18 @@ void expect_frozen(const ProtocolResult& got, const ProtocolResult& want,
   EXPECT_EQ(got.total_members, want.total_members) << what;
 }
 
-ProtocolResult run_workload(const char* name, int procs, int steps,
-                            int threads = 1, int perturb_every = 0) {
+ProtocolResult run_workload(
+    const char* name, int procs, int steps, int threads = 1,
+    int perturb_every = 0,
+    cluster::SelectPolicy policy = cluster::SelectPolicy::kFarthest) {
   const workloads::WorkloadInfo* info = workloads::find_workload(name);
   EXPECT_NE(info, nullptr) << name;
   ProtocolResult result;
   {
     sim::Engine engine({.nprocs = procs, .threads = threads});
     trace::CallSiteRegistry stacks(procs);
-    ChameleonTool tool(procs, &stacks, {.k = info->default_k});
+    ChameleonTool tool(procs, &stacks,
+                       {.k = info->default_k, .policy = policy});
     engine.set_tool(&tool);
     workloads::WorkloadParams params;
     params.cls = 'A';
@@ -88,6 +91,11 @@ ProtocolResult run_workload(const char* name, int procs, int steps,
     result.merge_ops = tool.merge_operations();
     result.total_clusters = tool.clusters().total_clusters();
     result.total_members = tool.clusters().total_members();
+    if (policy == cluster::SelectPolicy::kRandom) {
+      // The lead merge's root is not the home rank, so every interval is
+      // handed off to it.
+      EXPECT_NE(tool.clusters().leads().front(), 0) << name;
+    }
   }
   // All ranklists died with the tool; drop the intern table so the next
   // run starts from a clean slate.
@@ -156,6 +164,23 @@ TEST(ScaleDiff, PerturbedLuOnVsOff64) {
                 {0xde07ba2f5affca14ull, 0xb69e8ba993f69b40ull, 9, 194, 56, 9,
                  64},
                 "lu_mod 64");
+}
+
+TEST(ScaleDiff, LuRandomLeadsHandOff64) {
+  // k-random leads: the merge root hands every interval to rank 0.
+  expect_frozen(run_workload("lu", 64, 8, /*threads=*/1, /*perturb_every=*/0,
+                             cluster::SelectPolicy::kRandom),
+                {0xfbced1943ce5cb24ull, 0x3f9ab95ec0892cf9ull, 8, 109, 16, 9,
+                 64},
+                "lu 64, k-random");
+}
+
+TEST(ScaleDiff, BtRandomLeadsHandOff64) {
+  expect_frozen(run_workload("bt", 64, 8, /*threads=*/1, /*perturb_every=*/0,
+                             cluster::SelectPolicy::kRandom),
+                {0xe259a55d0322092dull, 0x18ca4db461b13216ull, 8, 79, 4, 3,
+                 64},
+                "bt 64, k-random");
 }
 
 TEST(ScaleDiff, ShardedEngineMatchesSingleThreadWithScaleOn) {

@@ -143,6 +143,29 @@ TEST(Collectives, SkeletonCollectivesAdvanceClock) {
   EXPECT_EQ(engine.collectives_run(), 7u);
 }
 
+TEST(Collectives, LateArrivalAtForcedBarrierKeepsSiteAlive) {
+  // Approximate progress (the replayer's mode for approximated traces):
+  // ranks 2 and 3 wait in a barrier that rank 1 never calls, while rank 0
+  // waits for a message that never comes. The stall cancels the receive
+  // and force-completes the barrier for ranks 2 and 3. Rank 0 wakes first
+  // and reaches the forced barrier late, before ranks 2 and 3 have left
+  // it; its late arrival does not make the barrier whole. Every rank that
+  // entered must leave, and the site must stay alive until the last of
+  // them has (AddressSanitizer flags the use-after-free if it is erased
+  // early).
+  Engine engine({.nprocs = 4});
+  engine.enable_approximate_progress();
+  std::vector<int> left(4, 0);
+  engine.run([&](Mpi& mpi) {
+    if (mpi.rank() == 0) mpi.recv(1, 8, /*tag=*/7);
+    if (mpi.rank() != 1) mpi.barrier();
+    left[static_cast<std::size_t>(mpi.rank())] = 1;
+  });
+  EXPECT_EQ(left, (std::vector<int>{1, 1, 1, 1}));
+  EXPECT_EQ(engine.cancelled_recvs(), 1u);
+  EXPECT_GE(engine.forced_collectives(), 1u);
+}
+
 TEST(Collectives, LargeWorldBarrier) {
   Engine engine({.nprocs = 512});
   engine.run([](Mpi& mpi) { mpi.barrier(); });

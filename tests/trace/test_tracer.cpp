@@ -5,6 +5,7 @@
 
 #include "sim/engine.hpp"
 #include "sim/mpi.hpp"
+#include "support/timer.hpp"
 #include "trace/serialize.hpp"
 
 namespace cham::trace {
@@ -170,6 +171,61 @@ TEST(Tracer, TimersAccumulate) {
   engine.run([&](sim::Mpi& mpi) { ring_kernel(mpi, stacks, 50); });
   EXPECT_GT(tool.intra_seconds(), 0.0);
   EXPECT_GT(tool.inter_seconds(), 0.0);
+}
+
+/// Busy-waits until the host clock has moved, so a section around it
+/// records a non-zero time.
+void spin_a_little() {
+  const double start = support::thread_cpu_seconds();
+  while (support::thread_cpu_seconds() - start < 50e-6) {
+  }
+}
+
+/// Runs a charged and then an uncharged ToolSection inside the post hook of
+/// the world's only barrier, reading the rank's virtual clock around each.
+class SectionProbe : public sim::Tool {
+ public:
+  void on_post(sim::Rank /*rank*/, const sim::CallInfo& info,
+               sim::Pmpi& pmpi) override {
+    if (info.op != sim::Op::kBarrier) return;
+    before_charged = pmpi.vtime();
+    {
+      const ToolSection timed(perf.inter_seconds, pmpi);
+      spin_a_little();
+    }
+    after_charged = pmpi.vtime();
+    {
+      const ToolSection timed(perf.intra_seconds);
+      spin_a_little();
+    }
+    after_uncharged = pmpi.vtime();
+  }
+
+  PerfCounters perf;
+  double before_charged = -1.0;
+  double after_charged = -1.0;
+  double after_uncharged = -1.0;
+};
+
+TEST(ToolSection, ChargedAdvancesVtimeByTheSecondsItRecords) {
+  sim::Engine engine({.nprocs = 1});
+  SectionProbe probe;
+  engine.set_tool(&probe);
+  engine.run([](sim::Mpi& mpi) { mpi.barrier(); });
+  ASSERT_GE(probe.before_charged, 0.0);
+  EXPECT_GT(probe.perf.inter_seconds, 0.0);
+  EXPECT_EQ(probe.after_charged,
+            probe.before_charged + probe.perf.inter_seconds);
+}
+
+TEST(ToolSection, UnchargedLeavesVtimeUnchanged) {
+  sim::Engine engine({.nprocs = 1});
+  SectionProbe probe;
+  engine.set_tool(&probe);
+  engine.run([](sim::Mpi& mpi) { mpi.barrier(); });
+  ASSERT_GE(probe.after_charged, 0.0);
+  EXPECT_GT(probe.perf.intra_seconds, 0.0);
+  EXPECT_EQ(probe.after_uncharged, probe.after_charged);
 }
 
 TEST(Tracer, MasterWorkerWildcardTraced) {

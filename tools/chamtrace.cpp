@@ -521,14 +521,14 @@ void export_run_metrics(obs::MetricsRegistry& reg, WorkloadRun& run) {
     reg.set_counter("cham.events.recorded", {{"tool", tool}},
                     run.tracer->events_recorded_total());
     for (int r = 0; r < run.procs; ++r) {
-      const trace::RankTraceState& st = run.tracer->rank_state(r);
+      const trace::PerfCounters& perf = run.tracer->rank_perf_counters(r);
       const obs::Labels base{{"rank", rank_label(r)}, {"tool", tool}};
       obs::Labels intra = base;
       intra.emplace_back("phase", "intra");
-      reg.set_gauge("cham.rank.phase_seconds", intra, st.intra_timer.total());
+      reg.set_gauge("cham.rank.phase_seconds", intra, perf.intra_seconds);
       obs::Labels inter = base;
       inter.emplace_back("phase", "inter");
-      reg.set_gauge("cham.rank.phase_seconds", inter, st.inter_timer.total());
+      reg.set_gauge("cham.rank.phase_seconds", inter, perf.inter_seconds);
       reg.set_counter("cham.rank.trace_bytes", base,
                       run.tracer->rank_trace_bytes(r));
     }

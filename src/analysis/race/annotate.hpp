@@ -1,22 +1,22 @@
 // ChamRace annotation hooks: the instrumentation half of the happens-before
 // race analyzer (see docs/RACE.md).
 //
-// The simulator is single-threaded today, but ROADMAP item 1 wants to shard
-// the fiber engine across a worker-thread pool. Every piece of state that
-// more than one fiber touches is annotated with RACE_READ / RACE_WRITE, and
-// every ordering mechanism the sharded engine would have to turn into a real
-// lock or atomic is modelled as an acquire/release pair on a named sync
-// object. A registered Sink (normally analysis::race::RaceAnalyzer) replays
-// the annotations through vector clocks and reports the access pairs that
-// are unordered by happens-before — exactly the operations that become data
-// races once fibers run on threads.
+// The engine runs rank fibers on a pool of shard worker threads
+// (sim/shard.hpp). Every piece of state that more than one fiber touches is
+// annotated with RACE_READ / RACE_WRITE, and every ordering mechanism
+// between fibers (a lock, an atomic flag, a wake-up) is modelled as an
+// acquire/release pair on a named sync object. A registered Sink (normally
+// analysis::race::RaceAnalyzer) replays the annotations through vector
+// clocks and reports the access pairs that are unordered by happens-before
+// — the operations that are data races when fibers run on different
+// threads, found even in a single-threaded run.
 //
 // This header is dependency-free on purpose: it is linked as the tiny
 // `chameleon_racehook` library so that sim/, trace/ and core/ can annotate
 // without depending on the full analysis stack. Same pattern as the src/obs
 // global sinks: a null-checked global pointer, ~1ns per annotation when no
 // sink is installed. The pointer is std::atomic (acquire/release) so install
-// and shutdown are safe once the pilot thread pool lands.
+// and shutdown are safe while shard workers run.
 //
 // Identity rules:
 //  - Locations and sync objects are named by (string literal, a, b), never

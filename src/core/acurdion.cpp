@@ -8,8 +8,7 @@ namespace cham::core {
 AcurdionTool::AcurdionTool(int nprocs, trace::CallSiteRegistry* stacks,
                            ChameleonConfig config)
     : ScalaTraceTool(nprocs, stacks,
-                     trace::TracerOptions{.max_window = config.max_window,
-                                          .merge_at_finalize = false}),
+                     trace::TracerOptions{.max_window = config.max_window}),
       config_(config),
       whole_run_(static_cast<std::size_t>(nprocs)) {}
 

@@ -30,8 +30,7 @@ const char* marker_state_name(MarkerState state) {
 ChameleonTool::ChameleonTool(int nprocs, trace::CallSiteRegistry* stacks,
                              ChameleonConfig config)
     : ScalaTraceTool(nprocs, stacks,
-                     trace::TracerOptions{.max_window = config.max_window,
-                                          .merge_at_finalize = false}),
+                     trace::TracerOptions{.max_window = config.max_window}),
       config_(config),
       cham_(static_cast<std::size_t>(nprocs)),
       bytes_(static_cast<std::size_t>(nprocs)),

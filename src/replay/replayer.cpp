@@ -95,8 +95,8 @@ void replay_rank(sim::Mpi& mpi, const std::vector<trace::TraceNode>& trace,
 ReplayResult replay_trace(const std::vector<trace::TraceNode>& trace,
                           const ReplayOptions& options) {
   CHAM_CHECK_MSG(options.nprocs >= 1, "replay needs a world size");
-  sim::Engine engine({.nprocs = options.nprocs, .net = options.net});
-  if (options.approximate) engine.enable_approximate_progress();
+  sim::Engine engine({.nprocs = options.nprocs});
+  engine.enable_approximate_progress();
   std::vector<std::uint64_t> per_rank(static_cast<std::size_t>(options.nprocs), 0);
   engine.run([&](sim::Mpi& mpi) {
     replay_rank(mpi, trace, &per_rank[static_cast<std::size_t>(mpi.rank())]);

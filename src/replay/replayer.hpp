@@ -9,24 +9,22 @@
 // trace, transposing relative parameters automatically).
 //
 // The accuracy metric is the paper's: ACC = 1 - |t - t'| / t.
+//
+// Replay degrades gracefully when the clustered trace is an approximation
+// (K below the natural behaviour-group count): receives and collectives
+// the trace leaves unmatched are cancelled or force-completed instead of
+// deadlocking, and counted in ReplayResult.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
-#include "sim/netmodel.hpp"
 #include "trace/event.hpp"
 
 namespace cham::replay {
 
 struct ReplayOptions {
   int nprocs = 0;  ///< world size to replay at (required)
-  sim::NetModel net{};
-  /// Degrade gracefully when the clustered trace is an approximation (K
-  /// below the natural behaviour-group count): unmatched receives and
-  /// collectives are force-completed instead of deadlocking, and reported
-  /// in ReplayResult.
-  bool approximate = true;
 };
 
 struct ReplayResult {
@@ -41,7 +39,8 @@ struct ReplayResult {
 };
 
 /// Replay `trace` on a fresh engine. Throws on a structurally broken trace
-/// (e.g. unmatched receives surface as a deadlock).
+/// (e.g. ranks disagreeing on a collective's operation); unmatched receives
+/// and collectives are cancelled or force-completed and counted instead.
 ReplayResult replay_trace(const std::vector<trace::TraceNode>& trace,
                           const ReplayOptions& options);
 

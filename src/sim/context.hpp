@@ -7,17 +7,14 @@
 // produces false positives. Fiber stacks come from an mmap slab, not the
 // ASan allocator, so the slab unpoisons its chunks before unmapping them.
 //
-// ThreadSanitizer: we deliberately do NOT announce fiber switches via
-// the __tsan_*_fiber API. GCC 12's libtsan fiber support is broken — the
-// sync-on-switch Release and ThreadState reuse after __tsan_destroy_fiber
-// both SEGV inside the runtime after a handful of fibers (StackDepot hash
-// walking a stale shadow stack; reproducible with a 60-line standalone
-// probe). Leaving TSan unaware of fibers is semantically right for the
-// scheduler anyway: every fiber is pinned to one hosting OS thread (its
-// owning shard's worker), so attributing all its accesses to that thread
-// models exactly the real happens-before; cross-THREAD races — the only real ones — are still caught via the
-// genuine mutex/atomic edges. Define CHAM_TSAN_FIBER_API=1 to re-enable
-// the hooks on a fixed libtsan.
+// ThreadSanitizer is deliberately not told about fiber switches (no
+// __tsan_*_fiber calls). GCC 12's libtsan fiber support SEGVs inside its
+// own runtime after a handful of create/switch/destroy cycles. Leaving TSan
+// unaware of fibers is also semantically right for this scheduler: every
+// fiber is pinned to one hosting OS thread (its owning shard's worker), so
+// attributing its accesses to that thread models the real happens-before,
+// and cross-thread races — the only real ones — are still caught through
+// the genuine mutex and atomic edges.
 #pragma once
 
 #include <cstddef>
@@ -33,14 +30,6 @@
 #if defined(CHAM_ASAN_FIBERS)
 #include <sanitizer/asan_interface.h>
 #include <sanitizer/common_interface_defs.h>
-#endif
-
-#if defined(CHAM_TSAN_FIBER_API) && CHAM_TSAN_FIBER_API
-#define CHAM_TSAN_FIBERS 1
-#endif
-
-#if defined(CHAM_TSAN_FIBERS)
-#include <sanitizer/tsan_interface.h>
 #endif
 
 namespace cham::sim::detail {
@@ -73,30 +62,6 @@ inline void sanitizer_post_switch(void* restore, const void** old_bottom,
 #endif
 }
 
-inline void* tsan_make_fiber() {
-#if defined(CHAM_TSAN_FIBERS)
-  return __tsan_create_fiber(0);
-#else
-  return nullptr;
-#endif
-}
-
-inline void* tsan_this_fiber() {
-#if defined(CHAM_TSAN_FIBERS)
-  return __tsan_get_current_fiber();
-#else
-  return nullptr;
-#endif
-}
-
-inline void tsan_free_fiber(void* fiber) {
-#if defined(CHAM_TSAN_FIBERS)
-  if (fiber != nullptr) __tsan_destroy_fiber(fiber);
-#else
-  (void)fiber;
-#endif
-}
-
 /// Clear ASan poisoning left on [addr, addr+size) — the redzones of fiber
 /// frames that never returned — before the range is unmapped.
 inline void sanitizer_unpoison(const void* addr, std::size_t size) {
@@ -105,16 +70,6 @@ inline void sanitizer_unpoison(const void* addr, std::size_t size) {
 #else
   (void)addr;
   (void)size;
-#endif
-}
-
-/// Announce the fiber switch about to happen; call immediately before
-/// cham_fiber_switch.
-inline void tsan_switch(void* target) {
-#if defined(CHAM_TSAN_FIBERS)
-  if (target != nullptr) __tsan_switch_to_fiber(target, 0);
-#else
-  (void)target;
 #endif
 }
 

@@ -200,12 +200,12 @@ CommResult Engine::pmpi_send(Rank self, int comm, Rank dest, int tag,
   if (injector_ != nullptr && comm == kCommTool) tool_op_fault_point(self);
   auto& t = vtime_[static_cast<std::size_t>(self)];
   RACE_WRITE("engine.vtime", static_cast<std::uint64_t>(self), 0);
-  t += opts_.net.send_overhead;
+  t += kNetModel.send_overhead;
   RACE_ATOMIC("engine.failed", static_cast<std::uint64_t>(dest), 0);
   if (injector_ != nullptr &&
       failed_[static_cast<std::size_t>(dest)].load(std::memory_order_acquire)) {
     // Detected only after exhausting the full acknowledgement-retry budget.
-    t += opts_.ft.recv_fail_delay();
+    t += kFaultTolerance.recv_fail_delay();
     RACE_ATOMIC("engine.counter.messages_lost", 0, 0);
     messages_lost_.fetch_add(1, std::memory_order_relaxed);
     return CommResult::kPeerFailed;
@@ -224,14 +224,14 @@ CommResult Engine::pmpi_send(Rank self, int comm, Rank dest, int tag,
       if (obs::Timeline* tl = obs::timeline())
         tl->instant(obs::Timeline::rank_tid(self), "fault.drop", "fault",
                     {obs::arg_int("dest", dest)});
-      t += opts_.net.p2p_transfer(msg.bytes) + opts_.ft.recv_timeout;
-      if (++attempt > opts_.ft.retries) {
+      t += kNetModel.p2p_transfer(msg.bytes) + kFaultTolerance.recv_timeout;
+      if (++attempt > kFaultTolerance.retries) {
         messages_lost_.fetch_add(1, std::memory_order_relaxed);
         return CommResult::kLost;
       }
     }
   }
-  msg.arrive_vtime = t + opts_.net.p2p_transfer(msg.bytes);
+  msg.arrive_vtime = t + kNetModel.p2p_transfer(msg.bytes);
   RACE_ATOMIC("engine.counter.messages_sent", 0, 0);
   messages_sent_.fetch_add(1, std::memory_order_relaxed);
   bytes_sent_.fetch_add(msg.bytes, std::memory_order_relaxed);
@@ -324,12 +324,9 @@ Message Engine::pmpi_wait(Rank self, Request req, RecvStatus* status) {
   }
   RACE_WRITE("engine.requests", static_cast<std::uint64_t>(self), 0);
   Message msg = std::move(state.msg);
-  auto& t = vtime_[static_cast<std::size_t>(self)];
   RACE_WRITE("engine.vtime", static_cast<std::uint64_t>(self), 0);
   if (state.is_recv) {
-    if (msg.arrive_vtime > t)
-      wait_[static_cast<std::size_t>(self)] += msg.arrive_vtime - t;
-    t = std::max(t, msg.arrive_vtime) + opts_.net.recv_overhead;
+    complete_recv(self, msg.arrive_vtime);
     if (status != nullptr) {
       status->source = msg.src;
       status->tag = msg.tag;
@@ -360,14 +357,39 @@ bool Engine::pmpi_try_recv(Rank self, int comm, Rank src, int tag,
     if (!matches(want, *it)) continue;
     Message msg = std::move(*it);
     backlog.erase(it);
-    auto& t = vtime_[static_cast<std::size_t>(self)];
-    if (msg.arrive_vtime > t)
-      wait_[static_cast<std::size_t>(self)] += msg.arrive_vtime - t;
-    t = std::max(t, msg.arrive_vtime) + opts_.net.recv_overhead;
+    complete_recv(self, msg.arrive_vtime);
     if (out != nullptr) *out = std::move(msg);
     return true;
   }
   return false;
+}
+
+void Engine::complete_recv(Rank self, double arrive_vtime) {
+  const auto s = static_cast<std::size_t>(self);
+  double& t = vtime_[s];
+  if (arrive_vtime > t) wait_[s] += arrive_vtime - t;
+  t = std::max(t, arrive_vtime) + kNetModel.recv_overhead;
+}
+
+std::vector<Engine::PendingRecv> Engine::take_posted(
+    int comm, Rank r, const std::function<bool(const PendingRecv&)>& take) {
+  std::vector<PendingRecv> taken;
+  const prof::TimedLockGuard mbox_lock(mbox_m_[box(comm, r)],
+                                       prof::LockClass::kMailbox);
+  race::ScopedSync mbox("engine.mailbox", static_cast<std::uint64_t>(comm),
+                        static_cast<std::uint64_t>(r));
+  RACE_WRITE("engine.queues", static_cast<std::uint64_t>(comm),
+             static_cast<std::uint64_t>(r));
+  auto& posted = pending_[box(comm, r)];
+  for (auto it = posted.begin(); it != posted.end();) {
+    if (take(*it)) {
+      taken.push_back(*it);
+      it = posted.erase(it);
+    } else {
+      ++it;
+    }
+  }
+  return taken;
 }
 
 // --------------------------------------------------------------------------
@@ -377,7 +399,6 @@ bool Engine::pmpi_try_recv(Rank self, int comm, Rank src, int tag,
 void Engine::collective_arrive(
     Rank self, int comm, Op op,
     const std::function<void(CollSite&)>& deposit,
-    const std::function<void(CollSite&)>& finish,
     const std::function<void(CollSite&)>& extract) {
   auto& seq = coll_seq_[box(comm, self)];
   const auto key = std::make_pair(comm, seq);
@@ -401,6 +422,7 @@ void Engine::collective_arrive(
       site->u64_contribs.resize(static_cast<std::size_t>(opts_.nprocs));
     }
   }
+  const double own_arrive = vtime_[static_cast<std::size_t>(self)];
   bool completer = false;
   {
     const prof::TimedLockGuard site_lock(site->m, prof::LockClass::kCollSite);
@@ -409,27 +431,15 @@ void Engine::collective_arrive(
     CHAM_CHECK_MSG(site->op == op,
                    "collective mismatch: ranks disagree on the operation");
     deposit(*site);
-    const double own = vtime_[static_cast<std::size_t>(self)];
-    site->max_arrive = std::max(site->max_arrive, own);
+    site->max_arrive = std::max(site->max_arrive, own_arrive);
     ++site->arrived;
 
-    // With fault injection dead ranks are routed around: the rendezvous
-    // completes once every *live* rank arrived (a crashed rank is never
-    // inside a collective, so all arrivals are live). Without an injector
-    // the condition reduces to the original arrived == nprocs.
-    const int need = injector_ == nullptr ? opts_.nprocs : live_expected();
-    if (site->arrived >= need) {
+    // Dead ranks are routed around: the rendezvous completes once every
+    // *live* rank arrived (a crashed rank is never inside a collective, so
+    // all arrivals are live). With no failures that is all nprocs ranks.
+    if (site->arrived >= live_expected()) {
       completer = true;
-      site->expected = site->arrived;
-      site->complete_vtime =
-          site->max_arrive + opts_.net.collective(site->arrived, site->bytes);
-      if (site->arrived < opts_.nprocs)
-        site->complete_vtime += opts_.ft.recv_fail_delay();
-      finish(*site);
-      // Store-release AFTER finish: a waiter that observes done == true is
-      // guaranteed to see the folded results when it re-locks the site.
-      RACE_ATOMIC("engine.collsite.done", ucomm, slot);
-      site->done.store(true, std::memory_order_release);
+      finish_site(comm, slot, *site, modelled_completion(*site));
       // Application-level statistic: tool-comm collectives (clustering
       // votes, the finalize synchronization) are bookkeeping, not workload
       // traffic.
@@ -447,14 +457,7 @@ void Engine::collective_arrive(
       if (site->done.load(std::memory_order_relaxed)) ++site->expected;
     }
   }
-  const double own_arrive = vtime_[static_cast<std::size_t>(self)];
-  if (completer) {
-    // Epoch boundary: completion of a marker-communicator collective is the
-    // protocol's global synchronization point.
-    if (comm == kCommMarker) race::epoch();
-    for (Rank r = 0; r < opts_.nprocs; ++r)
-      if (r != self) scheduler_->unblock(r);
-  } else {
+  if (!completer) {
     auto& blocked = blocked_[static_cast<std::size_t>(self)];
     blocked.kind = BlockedState::Kind::kCollective;
     blocked.comm = comm;
@@ -477,7 +480,8 @@ void Engine::collective_arrive(
     if (site->max_arrive > own_arrive)
       wait_[static_cast<std::size_t>(self)] += site->max_arrive - own_arrive;
     RACE_WRITE("engine.vtime", static_cast<std::uint64_t>(self), 0);
-    vtime_[static_cast<std::size_t>(self)] = site->complete_vtime;
+    vtime_[static_cast<std::size_t>(self)] =
+        std::max(own_arrive, site->complete_vtime);
     extract(*site);
     destroy = ++site->extracted == site->expected;
   }
@@ -489,27 +493,10 @@ void Engine::collective_arrive(
   }
 }
 
-void Engine::pmpi_barrier(Rank self, int comm) {
-  collective_arrive(
-      self, comm, Op::kBarrier, [](CollSite&) {}, [](CollSite&) {},
-      [](CollSite&) {});
-}
-
-std::vector<std::uint8_t> Engine::pmpi_bcast(Rank self, int comm, Rank root,
-                                             std::vector<std::uint8_t> contrib,
-                                             std::size_t declared_bytes) {
-  const bool is_root = self == root;
-  std::vector<std::uint8_t> result;
-  collective_arrive(
-      self, comm, Op::kBcast,
-      [&](CollSite& s) {
-        s.root = root;
-        s.bytes = std::max({s.bytes, declared_bytes, contrib.size()});
-        if (is_root) s.bcast_result = std::move(contrib);
-      },
-      [](CollSite&) {},
-      [&](CollSite& s) { result = s.bcast_result; });
-  return result;
+double Engine::modelled_completion(const CollSite& site) const {
+  double t = site.max_arrive + kNetModel.collective(site.arrived, site.bytes);
+  if (site.arrived < opts_.nprocs) t += kFaultTolerance.recv_fail_delay();
+  return t;
 }
 
 namespace {
@@ -525,9 +512,7 @@ void apply_reduce(ReduceOp op, std::vector<std::uint64_t>& acc,
     }
   }
 }
-}  // namespace
 
-namespace {
 void fold_u64_contribs(Engine::CollSite& s) {
   bool first = true;
   for (const auto& c : s.u64_contribs) {
@@ -540,6 +525,47 @@ void fold_u64_contribs(Engine::CollSite& s) {
   }
 }
 }  // namespace
+
+void Engine::finish_site(int comm, std::uint64_t slot, CollSite& site,
+                         double complete_vtime) {
+  site.expected = site.arrived;
+  site.complete_vtime = complete_vtime;
+  if (site.op == Op::kReduce || site.op == Op::kAllreduce)
+    fold_u64_contribs(site);
+  // Store-release after the fold: a waiter that observes done == true is
+  // guaranteed to see the folded results when it re-locks the site.
+  RACE_ATOMIC("engine.collsite.done", static_cast<std::uint64_t>(comm), slot);
+  site.done.store(true, std::memory_order_release);
+  // Epoch boundary: completion of a marker-communicator collective is the
+  // protocol's global synchronization point.
+  if (comm == kCommMarker) race::epoch();
+  // The caller is the running last arrival, or the stall handler (no fiber
+  // running); waking a running fiber would leave it a stray wake token.
+  const int running = scheduler_->current();
+  for (Rank r = 0; r < opts_.nprocs; ++r)
+    if (r != running) scheduler_->unblock(r);
+}
+
+void Engine::pmpi_barrier(Rank self, int comm) {
+  collective_arrive(
+      self, comm, Op::kBarrier, [](CollSite&) {}, [](CollSite&) {});
+}
+
+std::vector<std::uint8_t> Engine::pmpi_bcast(Rank self, int comm, Rank root,
+                                             std::vector<std::uint8_t> contrib,
+                                             std::size_t declared_bytes) {
+  const bool is_root = self == root;
+  std::vector<std::uint8_t> result;
+  collective_arrive(
+      self, comm, Op::kBcast,
+      [&](CollSite& s) {
+        s.root = root;
+        s.bytes = std::max({s.bytes, declared_bytes, contrib.size()});
+        if (is_root) s.bcast_result = std::move(contrib);
+      },
+      [&](CollSite& s) { result = s.bcast_result; });
+  return result;
+}
 
 std::vector<std::uint64_t> Engine::pmpi_reduce(
     Rank self, int comm, Rank root, ReduceOp op,
@@ -554,7 +580,6 @@ std::vector<std::uint64_t> Engine::pmpi_reduce(
                             contrib.size() * sizeof(std::uint64_t)});
         s.u64_contribs[static_cast<std::size_t>(self)] = std::move(contrib);
       },
-      fold_u64_contribs,
       [&](CollSite& s) {
         if (self == s.root) result = s.reduce_result;
       });
@@ -573,7 +598,7 @@ std::vector<std::uint64_t> Engine::pmpi_allreduce(
                             contrib.size() * sizeof(std::uint64_t)});
         s.u64_contribs[static_cast<std::size_t>(self)] = std::move(contrib);
       },
-      fold_u64_contribs, [&](CollSite& s) { result = s.reduce_result; });
+      [&](CollSite& s) { result = s.reduce_result; });
   return result;
 }
 
@@ -588,7 +613,6 @@ std::vector<std::vector<std::uint8_t>> Engine::pmpi_gather(
         s.bytes = std::max({s.bytes, declared_bytes, contrib.size()});
         s.byte_contribs[static_cast<std::size_t>(self)] = std::move(contrib);
       },
-      [](CollSite&) {},
       [&](CollSite& s) {
         if (self == s.root) result = s.byte_contribs;
       });
@@ -605,7 +629,7 @@ std::vector<std::vector<std::uint8_t>> Engine::pmpi_allgather(
         s.bytes = std::max({s.bytes, declared_bytes, contrib.size()});
         s.byte_contribs[static_cast<std::size_t>(self)] = std::move(contrib);
       },
-      [](CollSite&) {}, [&](CollSite& s) { result = s.byte_contribs; });
+      [&](CollSite& s) { result = s.byte_contribs; });
   return result;
 }
 
@@ -630,7 +654,6 @@ std::vector<std::uint8_t> Engine::pmpi_scatter(
           s.byte_contribs = std::move(contrib);
         }
       },
-      [](CollSite&) {},
       [&](CollSite& s) {
         result = s.byte_contribs[static_cast<std::size_t>(self)];
       });
@@ -645,7 +668,7 @@ void Engine::pmpi_alltoall(Rank self, int comm, std::size_t bytes) {
         s.bytes = std::max(
             s.bytes, bytes * static_cast<std::size_t>(opts_.nprocs));
       },
-      [](CollSite&) {}, [](CollSite&) {});
+      [](CollSite&) {});
 }
 
 bool Engine::approximate_progress_step() {
@@ -654,22 +677,8 @@ bool Engine::approximate_progress_step() {
   // matching send never existed in the (approximated) trace.
   for (int comm = 0; comm < kNumComms; ++comm) {
     for (Rank r = 0; r < opts_.nprocs; ++r) {
-      // Collect under the mailbox lock, deliver after releasing it —
-      // deliver() takes the inbox lock and the consistent order everywhere
-      // else is mailbox → inbox, never inbox → mailbox.
-      std::vector<PendingRecv> cancelled;
-      {
-        const prof::TimedLockGuard mbox_lock(mbox_m_[box(comm, r)], prof::LockClass::kMailbox);
-        race::ScopedSync mbox("engine.mailbox",
-                              static_cast<std::uint64_t>(comm),
-                              static_cast<std::uint64_t>(r));
-        RACE_WRITE("engine.queues", static_cast<std::uint64_t>(comm),
-                   static_cast<std::uint64_t>(r));
-        auto& posted = pending_[box(comm, r)];
-        cancelled.assign(posted.begin(), posted.end());
-        posted.clear();
-      }
-      for (const PendingRecv& want : cancelled) {
+      for (const PendingRecv& want :
+           take_posted(comm, r, [](const PendingRecv&) { return true; })) {
         Message msg;
         msg.src = want.src_match == kAnySource ? 0 : want.src_match;
         msg.tag = want.tag_match == kAnyTag ? 0 : want.tag_match;
@@ -681,33 +690,30 @@ bool Engine::approximate_progress_step() {
       }
     }
   }
-  // Force-complete collectives some ranks never reached. The stall handler
-  // runs with every fiber quiescent, but take the locks anyway — the site
-  // pointers must not dangle if a woken fiber erases a site on resume.
-  const prof::TimedLockGuard map_lock(collmap_m_, prof::LockClass::kCollMap);
-  for (auto& [key, site] : coll_sites_) {
-    const prof::TimedLockGuard site_lock(site.m, prof::LockClass::kCollSite);
-    race::ScopedSync sitelock("engine.collsite",
-                              static_cast<std::uint64_t>(key.first),
-                              key.second);
-    RACE_WRITE("engine.collsite", static_cast<std::uint64_t>(key.first),
-               key.second);
-    if (site.done.load(std::memory_order_relaxed) || site.arrived == 0)
-      continue;
-    site.expected = site.arrived;
-    site.complete_vtime = site.max_arrive;
-    if (site.op == Op::kReduce || site.op == Op::kAllreduce) {
-      fold_u64_contribs(site);
-    }
-    RACE_ATOMIC("engine.collsite.done", static_cast<std::uint64_t>(key.first),
-                key.second);
-    site.done.store(true, std::memory_order_release);
-    if (key.first == kCommMarker) race::epoch();
+  // Force-complete collectives some ranks never reached.
+  for_each_open_site([&](int comm, std::uint64_t slot, CollSite& site) {
+    finish_site(comm, slot, site, site.max_arrive);
     forced_collectives_.fetch_add(1, std::memory_order_relaxed);
     progressed = true;
-    for (Rank r = 0; r < opts_.nprocs; ++r) scheduler_->unblock(r);
-  }
+  });
   return progressed;
+}
+
+void Engine::for_each_open_site(
+    const std::function<void(int, std::uint64_t, CollSite&)>& visit) {
+  // The stall handler runs with every fiber quiescent, but take the locks
+  // anyway — the site pointers must not dangle if a woken fiber erases a
+  // site on resume.
+  const prof::TimedLockGuard map_lock(collmap_m_, prof::LockClass::kCollMap);
+  for (auto& [key, site] : coll_sites_) {
+    const auto ucomm = static_cast<std::uint64_t>(key.first);
+    const prof::TimedLockGuard site_lock(site.m, prof::LockClass::kCollSite);
+    race::ScopedSync sitelock("engine.collsite", ucomm, key.second);
+    RACE_WRITE("engine.collsite", ucomm, key.second);
+    if (site.done.load(std::memory_order_relaxed) || site.arrived == 0)
+      continue;
+    visit(key.first, key.second, site);
+  }
 }
 
 // --------------------------------------------------------------------------
@@ -770,86 +776,39 @@ void Engine::fail_rank(Rank r) {
   // live sender cannot match one (the send fails fast instead), and retire
   // its outstanding requests. fail_rank only ever runs on the dying rank's
   // own fiber, so the request slots stay owner-written.
-  for (int comm = 0; comm < kNumComms; ++comm) {
-    const prof::TimedLockGuard mbox_lock(mbox_m_[box(comm, r)], prof::LockClass::kMailbox);
-    race::ScopedSync mbox("engine.mailbox", static_cast<std::uint64_t>(comm),
-                          static_cast<std::uint64_t>(r));
-    RACE_WRITE("engine.queues", static_cast<std::uint64_t>(comm),
-               static_cast<std::uint64_t>(r));
-    pending_[box(comm, r)].clear();
-  }
+  for (int comm = 0; comm < kNumComms; ++comm)
+    take_posted(comm, r, [](const PendingRecv&) { return true; });
   RACE_WRITE("engine.requests", static_cast<std::uint64_t>(r), 0);
   for (auto& state : requests_[s]) state.active = false;
-}
-
-bool Engine::complete_ready_sites() {
-  bool progressed = false;
-  const prof::TimedLockGuard map_lock(collmap_m_, prof::LockClass::kCollMap);
-  for (auto& [key, site] : coll_sites_) {
-    const prof::TimedLockGuard site_lock(site.m, prof::LockClass::kCollSite);
-    race::ScopedSync sitelock("engine.collsite",
-                              static_cast<std::uint64_t>(key.first),
-                              key.second);
-    RACE_WRITE("engine.collsite", static_cast<std::uint64_t>(key.first),
-               key.second);
-    if (site.done.load(std::memory_order_relaxed) || site.arrived == 0)
-      continue;
-    if (site.arrived < live_expected()) continue;
-    site.expected = site.arrived;
-    site.complete_vtime = site.max_arrive +
-                          opts_.net.collective(site.arrived, site.bytes) +
-                          opts_.ft.recv_fail_delay();
-    if (site.op == Op::kReduce || site.op == Op::kAllreduce)
-      fold_u64_contribs(site);
-    RACE_ATOMIC("engine.collsite.done", static_cast<std::uint64_t>(key.first),
-                key.second);
-    site.done.store(true, std::memory_order_release);
-    if (key.first != kCommTool)
-      collectives_run_.fetch_add(1, std::memory_order_relaxed);
-    if (key.first == kCommMarker) race::epoch();
-    progressed = true;
-    for (Rank r = 0; r < opts_.nprocs; ++r) scheduler_->unblock(r);
-  }
-  return progressed;
 }
 
 bool Engine::fault_progress_step() {
   // First route collectives around the dead: any site where every survivor
   // already arrived completes short-handed.
-  bool progressed = complete_ready_sites();
+  bool progressed = false;
+  for_each_open_site([&](int comm, std::uint64_t slot, CollSite& site) {
+    if (site.arrived < live_expected()) return;
+    finish_site(comm, slot, site, modelled_completion(site));
+    if (comm != kCommTool)
+      collectives_run_.fetch_add(1, std::memory_order_relaxed);
+    progressed = true;
+  });
   // Then time out receives whose awaited source is dead: deliver a
   // synthetic peer_failed completion after the full backoff budget.
+  const auto from_dead = [this](const PendingRecv& want) {
+    return want.src_match != kAnySource && is_failed(want.src_match);
+  };
   for (int comm = 0; comm < kNumComms; ++comm) {
     for (Rank r = 0; r < opts_.nprocs; ++r) {
       if (is_failed(r)) continue;
-      // Same collect-then-deliver split as approximate_progress_step: the
-      // lock order is mailbox → inbox, so deliver() runs unlocked.
-      std::vector<PendingRecv> timed_out;
-      {
-        const prof::TimedLockGuard mbox_lock(mbox_m_[box(comm, r)], prof::LockClass::kMailbox);
-        race::ScopedSync mbox("engine.mailbox",
-                              static_cast<std::uint64_t>(comm),
-                              static_cast<std::uint64_t>(r));
-        RACE_WRITE("engine.queues", static_cast<std::uint64_t>(comm),
-                   static_cast<std::uint64_t>(r));
-        auto& posted = pending_[box(comm, r)];
-        for (auto it = posted.begin(); it != posted.end();) {
-          if (it->src_match == kAnySource || !is_failed(it->src_match)) {
-            ++it;
-            continue;
-          }
-          timed_out.push_back(*it);
-          it = posted.erase(it);
-        }
-      }
-      for (const PendingRecv& want : timed_out) {
+      for (const PendingRecv& want : take_posted(comm, r, from_dead)) {
         Message msg;
         msg.src = want.src_match;
         msg.tag = want.tag_match == kAnyTag ? 0 : want.tag_match;
         msg.peer_failed = true;
         RACE_READ("engine.vtime", static_cast<std::uint64_t>(r), 0);
         msg.arrive_vtime = vtime_[static_cast<std::size_t>(r)] +
-                           opts_.ft.recv_fail_delay();
+                           kFaultTolerance.recv_fail_delay();
         deliver(r, want.req, std::move(msg));
         progressed = true;
       }

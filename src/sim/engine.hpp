@@ -57,6 +57,10 @@ struct FaultTolerance {
   }
 };
 
+/// The interconnect and failure-detection models every engine runs with.
+inline constexpr NetModel kNetModel{};
+inline constexpr FaultTolerance kFaultTolerance{};
+
 struct EngineOptions {
   int nprocs = 4;
   // TSan instrumentation inflates frame sizes (shadow spills plus
@@ -68,8 +72,6 @@ struct EngineOptions {
 #else
   std::size_t stack_bytes = 256 * 1024;
 #endif
-  NetModel net{};
-  FaultTolerance ft{};
   /// Non-zero: each epoch runs every shard's ready fibers in an order
   /// shuffled per (seed, shard, epoch) instead of rank order
   /// (ShardedScheduler::set_seed) — at one thread too. Protocol output must
@@ -139,7 +141,6 @@ class Engine {
   [[nodiscard]] bool fault_injection_enabled() const {
     return injector_ != nullptr;
   }
-  [[nodiscard]] FaultInjector* fault_injector() const { return injector_; }
 
   /// Optional probe mapping a rank to its innermost call-site id; enables
   /// `crash ... site=` triggers. The sim layer cannot see the trace layer's
@@ -172,7 +173,6 @@ class Engine {
   void run(const std::function<void(Mpi&)>& rank_main);
 
   [[nodiscard]] int nprocs() const { return opts_.nprocs; }
-  [[nodiscard]] const EngineOptions& options() const { return opts_; }
   [[nodiscard]] Tool* tool() const { return tool_; }
 
   /// Virtual completion time of a rank / of the whole run.
@@ -364,7 +364,23 @@ class Engine {
   /// Move queued completions into our own request slots (called by the
   /// owning rank from pmpi_wait).
   void drain_inbox(Rank self);
+  /// Remove and return the receives of (comm, r) still posted that `take`
+  /// selects, oldest first. The caller delivers them after the mailbox lock
+  /// is released: deliver() takes the inbox lock, and the lock order is
+  /// mailbox → inbox.
+  std::vector<PendingRecv> take_posted(
+      int comm, Rank r, const std::function<bool(const PendingRecv&)>& take);
+  /// Rank self receives a message that arrives at `arrive_vtime`: it waits
+  /// for an early clock to catch up, then pays the receive overhead.
+  void complete_recv(Rank self, double arrive_vtime);
+  /// Stall-handler step for approximated traces: cancels every posted
+  /// receive and force-completes every partially arrived collective at its
+  /// latest arrival. Returns true if it unblocked someone.
   bool approximate_progress_step();
+  /// Run `visit(comm, slot, site)` under the site's lock for every site
+  /// some rank has arrived at and that is not yet done (stall handler).
+  void for_each_open_site(
+      const std::function<void(int, std::uint64_t, CollSite&)>& visit);
   /// Detail of rank r's block note, composed from blocked_ only when the
   /// scheduler reads the note (deadlock report, block_note()): comm,
   /// source and tag of a receive; comm, slot and arrivals of a collective.
@@ -381,26 +397,35 @@ class Engine {
   /// Mark r dead, cancel its posted receives, complete any collective sites
   /// it already joined, and fail live peers blocked on it.
   void fail_rank(Rank r);
-  /// Complete collectives whose live participants have all arrived (dead
-  /// ranks are routed around). Returns true if any site completed.
-  bool complete_ready_sites();
-  /// Stall-handler step for faulty runs: synthesises peer_failed completions
-  /// for receives whose source is dead and force-completes short-handed
-  /// collectives. Returns true if it unblocked someone.
+  /// Stall-handler step for faulty runs: completes collectives whose live
+  /// participants have all arrived (dead ranks are routed around) and
+  /// synthesises peer_failed completions for receives whose source is
+  /// dead. Returns true if it unblocked someone.
   bool fault_progress_step();
   /// Ranks a collective must wait for: everyone still alive.
   [[nodiscard]] int live_expected() const {
     return opts_.nprocs - failed_count_.load(std::memory_order_acquire);
   }
 
-  /// Collective rendezvous: blocks until all ranks of `comm` arrive at the
-  /// same per-comm slot. The last arrival runs `finish` on the site; every
+  /// Modelled completion time of a site whose live participants have all
+  /// arrived: the tree collective after the latest arrival, plus the
+  /// failure-detection budget when dead ranks are routed around.
+  [[nodiscard]] double modelled_completion(const CollSite& site) const;
+  /// The one way a collective site finishes (caller holds its lock): every
+  /// arrival so far takes part, a reduction is folded, `done` is published
+  /// and every blocked rank but the caller is woken. Participants leave at
+  /// max(own arrival, complete_vtime), so a rank reaching a site that was
+  /// forced without it never moves its clock backwards.
+  void finish_site(int comm, std::uint64_t slot, CollSite& site,
+                   double complete_vtime);
+
+  /// Collective rendezvous: blocks until all live ranks of `comm` arrive at
+  /// the same per-comm slot; the last arrival finishes the site. Every
   /// participant then runs `extract` on the completed site to copy out its
   /// results. The site is destroyed once all participants extracted, so
   /// long runs do not accumulate per-collective state.
   void collective_arrive(Rank self, int comm, Op op,
                          const std::function<void(CollSite&)>& deposit,
-                         const std::function<void(CollSite&)>& finish,
                          const std::function<void(CollSite&)>& extract);
 
   EngineOptions opts_;

@@ -25,10 +25,6 @@ using detail::sanitizer_pre_switch;
 using detail::sanitizer_unpoison;
 using detail::ShardFiber;
 using detail::ShardFiberState;
-using detail::tsan_free_fiber;
-using detail::tsan_make_fiber;
-using detail::tsan_switch;
-using detail::tsan_this_fiber;
 
 #if !defined(__x86_64__) || !defined(__linux__)
 #error "cham_fiber_switch and cham_fiber_start are x86-64 Linux only: port them (src/sim/shard.cpp) to this target"
@@ -213,8 +209,6 @@ std::span<char> StackSlab::carve(std::size_t bytes) {
 ShardFiber::ShardFiber(std::span<char> stack, std::function<void()> fn)
     : stack(stack), entry(std::move(fn)) {}
 
-ShardFiber::~ShardFiber() { tsan_free_fiber(tsan_fiber); }
-
 }  // namespace detail
 
 ShardedScheduler::ShardedScheduler(int nthreads) {
@@ -241,7 +235,6 @@ int ShardedScheduler::spawn(std::function<void()> entry,
   fiber->sched = this;
   fiber->sp = initial_frame(fiber->stack.data() + fiber->stack.size(),
                             fiber.get(), &trampoline);
-  fiber->tsan_fiber = tsan_make_fiber();
 
   shards_[static_cast<std::size_t>(fiber->shard)]->ready.push_back(fiber->id);
   fibers_.push_back(std::move(fiber));
@@ -274,7 +267,6 @@ void ShardedScheduler::trampoline(ShardFiber* fiber) {
   // hand the thread back to the shard worker for good.
   sanitizer_pre_switch(nullptr, shard.main_stack_bottom,
                        shard.main_stack_size);
-  tsan_switch(shard.main_tsan_fiber);
   cham_fiber_switch(&fiber->sp, shard.main_sp);
   __builtin_unreachable();
 }
@@ -314,9 +306,6 @@ void ShardedScheduler::run() {
 }
 
 void ShardedScheduler::worker_loop(int shard_index) {
-  Shard& shard = *shards_[static_cast<std::size_t>(shard_index)];
-  if (shard.main_tsan_fiber == nullptr)
-    shard.main_tsan_fiber = tsan_this_fiber();
   const LogRankProviderScope log_rank(*this);
   prof::bind_worker_shard(shard_index);
   while (barrier_and_plan(shard_index)) run_epoch(shard_index);
@@ -532,7 +521,6 @@ void ShardedScheduler::dispatch(int shard_index, ShardFiber& fiber) {
   prof::PhaseScope::resume(fiber.phase_top);
   sanitizer_pre_switch(&shard.main_sanitizer_stack, fiber.stack.data(),
                        fiber.stack.size());
-  tsan_switch(fiber.tsan_fiber);
   cham_fiber_switch(&shard.main_sp, fiber.sp);
   sanitizer_post_switch(shard.main_sanitizer_stack, nullptr, nullptr);
   fiber.phase_top = prof::PhaseScope::suspend();
@@ -553,7 +541,6 @@ void ShardedScheduler::switch_out(ShardFiber& fiber) {
   Shard& shard = *shards_[static_cast<std::size_t>(fiber.shard)];
   sanitizer_pre_switch(&fiber.sanitizer_stack, shard.main_stack_bottom,
                        shard.main_stack_size);
-  tsan_switch(shard.main_tsan_fiber);
   cham_fiber_switch(&fiber.sp, shard.main_sp);
   sanitizer_post_switch(fiber.sanitizer_stack, nullptr, nullptr);
 }

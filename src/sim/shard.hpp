@@ -127,7 +127,6 @@ class StackSlab {
 /// saved stack pointer are touched only by the owning shard's worker thread.
 struct ShardFiber {
   ShardFiber(std::span<char> stack, std::function<void()> fn);
-  ~ShardFiber();
   ShardFiber(const ShardFiber&) = delete;
   ShardFiber& operator=(const ShardFiber&) = delete;
 
@@ -147,7 +146,6 @@ struct ShardFiber {
   /// `state` is kBlocked.
   const char* block_label = nullptr;
   void* sanitizer_stack = nullptr;
-  void* tsan_fiber = nullptr;
   /// Open ChamProf scope chain, parked while the fiber is switched out
   /// (the scopes live on this fiber's stack, which is worker-thread-pinned
   /// for life; see PhaseScope::suspend).
@@ -250,7 +248,6 @@ class ShardedScheduler {
 
     void* main_sp = nullptr;  ///< worker's saved stack pointer
     void* main_sanitizer_stack = nullptr;
-    void* main_tsan_fiber = nullptr;
     const void* main_stack_bottom = nullptr;
     std::size_t main_stack_size = 0;
     std::thread worker;  ///< shards 1..S-1; shard 0 runs on the driver

@@ -123,7 +123,6 @@ void ScalaTraceTool::handle_marker_post(sim::Rank /*rank*/,
 }
 
 void ScalaTraceTool::handle_finalize(sim::Rank rank, sim::Pmpi& pmpi) {
-  if (!opts_.merge_at_finalize) return;
   std::vector<sim::Rank> everyone(static_cast<std::size_t>(nprocs_));
   for (int r = 0; r < nprocs_; ++r) everyone[static_cast<std::size_t>(r)] = r;
   std::vector<TraceNode> merged =

@@ -31,9 +31,6 @@ namespace cham::trace {
 
 struct TracerOptions {
   int max_window = 32;
-  /// Plain ScalaTrace merges the global trace in MPI_Finalize; switch off
-  /// to measure pure intra-node tracing.
-  bool merge_at_finalize = true;
 };
 
 /// Per-rank tracing state (protected so Chameleon can drive it).

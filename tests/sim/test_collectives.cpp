@@ -146,23 +146,50 @@ TEST(Collectives, SkeletonCollectivesAdvanceClock) {
 TEST(Collectives, LateArrivalAtForcedBarrierKeepsSiteAlive) {
   // Approximate progress (the replayer's mode for approximated traces):
   // ranks 2 and 3 wait in a barrier that rank 1 never calls, while rank 0
-  // waits for a message that never comes. The stall cancels the receive
-  // and force-completes the barrier for ranks 2 and 3. Rank 0 wakes first
-  // and reaches the forced barrier late, before ranks 2 and 3 have left
-  // it; its late arrival does not make the barrier whole. Every rank that
-  // entered must leave, and the site must stay alive until the last of
-  // them has (AddressSanitizer flags the use-after-free if it is erased
-  // early).
+  // computes 5 s and then waits for a message that never comes. The stall
+  // cancels the receive and force-completes the barrier for ranks 2 and 3
+  // at their latest arrival (0 s). Rank 0 wakes first and reaches the
+  // forced barrier late, before ranks 2 and 3 have left it; its late
+  // arrival does not make the barrier whole. Every rank that entered must
+  // leave, the site must stay alive until the last of them has
+  // (AddressSanitizer flags the use-after-free if it is erased early), and
+  // the late rank's clock must not run back to the forced completion time.
   Engine engine({.nprocs = 4});
   engine.enable_approximate_progress();
   std::vector<int> left(4, 0);
+  double late_leaves_at = 0.0;
   engine.run([&](Mpi& mpi) {
-    if (mpi.rank() == 0) mpi.recv(1, 8, /*tag=*/7);
+    if (mpi.rank() == 0) {
+      mpi.compute(5.0);
+      mpi.recv(1, 8, /*tag=*/7);
+    }
     if (mpi.rank() != 1) mpi.barrier();
+    if (mpi.rank() == 0) late_leaves_at = mpi.vtime();
     left[static_cast<std::size_t>(mpi.rank())] = 1;
   });
   EXPECT_EQ(left, (std::vector<int>{1, 1, 1, 1}));
   EXPECT_EQ(engine.cancelled_recvs(), 1u);
+  EXPECT_GE(engine.forced_collectives(), 1u);
+  EXPECT_GE(late_leaves_at, 5.0);
+}
+
+TEST(Collectives, ForcedAllreduceFoldsThePresentRanks) {
+  // Rank 1 never joins the allreduce; approximate progress force-completes
+  // it for the other three, and the forced completion still folds their
+  // contributions.
+  Engine engine({.nprocs = 4});
+  engine.enable_approximate_progress();
+  const std::vector<std::uint64_t> value{1, 0, 3, 4};
+  std::vector<std::vector<std::uint64_t>> got(4);
+  engine.run([&](Mpi& mpi) {
+    const auto r = static_cast<std::size_t>(mpi.rank());
+    if (mpi.rank() == 1) return;
+    got[r] = mpi.engine().pmpi_allreduce(mpi.rank(), kCommWorld,
+                                         ReduceOp::kSum, {value[r]});
+  });
+  for (const std::size_t r : {0u, 2u, 3u})
+    EXPECT_EQ(got[r], (std::vector<std::uint64_t>{8})) << "rank " << r;
+  EXPECT_TRUE(got[1].empty());
   EXPECT_GE(engine.forced_collectives(), 1u);
 }
 

@@ -72,6 +72,31 @@ TEST(FaultInjector, CrashStopsRankAndCollectivesRouteAround) {
   }
 }
 
+TEST(FaultInjector, RoutedAroundAllreduceSumsTheSurvivors) {
+  // Ranks 0 and 1 block in a world allreduce; rank 2 dies entering its
+  // barrier (traced call 2, after MPI_Init) without ever joining it. The
+  // fault stall step finishes the allreduce for the survivors, folding
+  // their contributions only.
+  FaultInjector injector(FaultPlan::parse("crash rank=2 call=2"));
+  Engine engine({.nprocs = 3});
+  engine.set_fault_injector(&injector);
+  const std::array<std::uint64_t, 3> value{5, 7, 11};
+  std::array<std::vector<std::uint64_t>, 3> got;
+  engine.run([&](Mpi& mpi) {
+    const auto r = static_cast<std::size_t>(mpi.rank());
+    if (mpi.rank() == 2) {
+      mpi.barrier();
+      return;
+    }
+    got[r] = mpi.engine().pmpi_allreduce(mpi.rank(), kCommWorld,
+                                         ReduceOp::kSum, {value[r]});
+  });
+  EXPECT_EQ(engine.failed_ranks(), (std::vector<Rank>{2}));
+  EXPECT_EQ(got[0], (std::vector<std::uint64_t>{12}));
+  EXPECT_EQ(got[1], (std::vector<std::uint64_t>{12}));
+  EXPECT_TRUE(got[2].empty());
+}
+
 TEST(FaultInjector, SendToDeadRankReportsPeerFailure) {
   FaultInjector injector(FaultPlan::parse("crash rank=1 call=1"));
   Engine engine({.nprocs = 2});
@@ -100,7 +125,34 @@ TEST(FaultInjector, RecvFromDeadRankTimesOut) {
   });
   EXPECT_TRUE(status.peer_failed);
   // The failed receive charges the full retry/backoff budget.
-  EXPECT_GE(after_recv, engine.options().ft.recv_fail_delay());
+  EXPECT_GE(after_recv, kFaultTolerance.recv_fail_delay());
+}
+
+TEST(FaultInjector, StallTimesOutOnlyReceivesFromDeadRanks) {
+  // At the stall, rank 0 waits on live rank 1 and rank 1 on rank 2, which
+  // died entering its barrier. Only rank 1's receive times out; rank 1 then
+  // sends, and rank 0 gets that message.
+  FaultInjector injector(FaultPlan::parse("crash rank=2 call=2"));
+  Engine engine({.nprocs = 3});
+  engine.set_fault_injector(&injector);
+  std::array<RecvStatus, 3> status;
+  engine.run([&](Mpi& mpi) {
+    switch (mpi.rank()) {
+      case 0:
+        status[0] = mpi.recv(1, 8, /*tag=*/5);
+        break;
+      case 1:
+        status[1] = mpi.recv(2, 8, /*tag=*/6);
+        mpi.send(0, 8, /*tag=*/5);
+        break;
+      default:
+        mpi.barrier();
+    }
+  });
+  EXPECT_TRUE(status[1].peer_failed);
+  EXPECT_FALSE(status[0].peer_failed);
+  EXPECT_EQ(status[0].source, 1);
+  EXPECT_TRUE(engine.unexpected_messages(kCommWorld, 0).empty());
 }
 
 TEST(FaultInjector, DropsExhaustRetryBudget) {
@@ -114,7 +166,7 @@ TEST(FaultInjector, DropsExhaustRetryBudget) {
   EXPECT_EQ(result, CommResult::kLost);
   EXPECT_EQ(engine.messages_lost(), 1u);
   EXPECT_GE(engine.retransmissions(),
-            static_cast<std::uint64_t>(engine.options().ft.retries));
+            static_cast<std::uint64_t>(kFaultTolerance.retries));
   EXPECT_GT(injector.drops_injected(), 0u);
   EXPECT_FALSE(engine.is_failed(1));  // drops do not kill ranks
 }

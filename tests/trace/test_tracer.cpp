@@ -138,8 +138,10 @@ TEST(Tracer, StoringFlagSuppressesTraceGrowth) {
       ScalaTraceTool::on_init(rank, pmpi);
       if (rank == 1) state(rank).storing = false;
     }
+    // Keep the rank traces: no finalize merge takes them.
+    void handle_finalize(sim::Rank /*rank*/, sim::Pmpi& /*pmpi*/) override {}
   };
-  NonStoringTool tool(p, &stacks, {.merge_at_finalize = false});
+  NonStoringTool tool(p, &stacks);
   engine.set_tool(&tool);
   engine.run([&](sim::Mpi& mpi) {
     for (int i = 0; i < 10; ++i) mpi.barrier();
@@ -149,17 +151,6 @@ TEST(Tracer, StoringFlagSuppressesTraceGrowth) {
   EXPECT_EQ(tool.rank_state(1).events_observed,
             tool.rank_state(0).events_observed);
   EXPECT_GT(tool.rank_trace_bytes(0), tool.rank_trace_bytes(1));
-}
-
-TEST(Tracer, MergeDisabledLeavesGlobalEmpty) {
-  const int p = 2;
-  sim::Engine engine({.nprocs = p});
-  CallSiteRegistry stacks(p);
-  ScalaTraceTool tool(p, &stacks, {.merge_at_finalize = false});
-  engine.set_tool(&tool);
-  engine.run([&](sim::Mpi& mpi) { mpi.barrier(); });
-  EXPECT_TRUE(tool.global_trace().empty());
-  EXPECT_FALSE(tool.rank_state(0).intra.empty());
 }
 
 TEST(Tracer, TimersAccumulate) {

@@ -523,12 +523,14 @@ void export_run_metrics(obs::MetricsRegistry& reg, WorkloadRun& run) {
     for (int r = 0; r < run.procs; ++r) {
       const trace::PerfCounters& perf = run.tracer->rank_perf_counters(r);
       const obs::Labels base{{"rank", rank_label(r)}, {"tool", tool}};
-      obs::Labels intra = base;
-      intra.emplace_back("phase", "intra");
-      reg.set_gauge("cham.rank.phase_seconds", intra, perf.intra_seconds);
-      obs::Labels inter = base;
-      inter.emplace_back("phase", "inter");
-      reg.set_gauge("cham.rank.phase_seconds", inter, perf.inter_seconds);
+      const auto phase = [&](const char* name, double seconds) {
+        obs::Labels labels = base;
+        labels.emplace_back("phase", name);
+        reg.set_gauge("cham.rank.phase_seconds", labels, seconds);
+      };
+      phase("intra", perf.intra_seconds);
+      phase("inter", perf.inter_seconds);
+      phase("clustering", perf.clustering_seconds);
       reg.set_counter("cham.rank.trace_bytes", base,
                       run.tracer->rank_trace_bytes(r));
     }

@@ -6,8 +6,8 @@
 #   2. ASan + UBSan     — memory and UB errors (fiber unwinding, wire decoding)
 #   3. TSan             — the race- and engine-labelled slices (ChamRace
 #                         analyzer tests, the ChamShard sharded scheduler)
-#                         under ThreadSanitizer; CHAM_TSAN also enables the
-#                         __tsan_* fiber-switch hooks (docs/RACE.md)
+#                         under ThreadSanitizer, which is not told about
+#                         fiber switches (src/sim/context.hpp, docs/RACE.md)
 #   4. Werror           — warning-clean build enforced
 #
 # On top of the per-configuration suites it runs targeted smokes: the fault
@@ -16,8 +16,8 @@
 # kill-resume/sharded determinism smokes against the release binaries. The
 # ChamProf leg also builds a -DCHAMELEON_PROF=OFF tree and gates the
 # shipping (hooks-in, profiler-off) wall time against it. Last, the
-# repository benchmark (perfbench/) runs every workload once and must pass
-# its output checks.
+# repository benchmark (perfbench/) runs every workload once untraced and
+# two workloads traced, and every run must pass its output checks.
 #
 # Usage: tools/check.sh [jobs]
 # Build trees live under build-check/ (gitignored).
@@ -71,7 +71,7 @@ build-check/sanitize/tools/chamtrace run --workload lu --procs 16 \
   --steps 8 --freq 1 --threads 4 >/dev/null
 
 # ChamRace/ChamShard TSan leg: the race- and engine-labelled slices — the
-# full suite under TSan is minutes of fiber-hook overhead for no extra
+# full suite under TSan is minutes of instrumentation overhead for no extra
 # thread coverage; these are the slices with real threads in them.
 echo "=== [tsan] configure ==="
 cmake -B build-check/tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
@@ -356,18 +356,26 @@ echo "=== [sanitize] chamdurable corruption matrix ==="
   CHAM_CORRUPT_ITERS="${CHAM_CORRUPT_ITERS:-1000}" \
   ctest -L durable --output-on-failure -j "$jobs")
 
-# Repository benchmark output gate: one short untraced run per workload.
-# Each run checks its digests and exact counts against
-# perfbench/expected.json; timing bounds are a quiet-host, paired
-# measurement for `perfbench/run.py --compare`, not a CI gate.
+# Repository benchmark output gate: one short untraced run per workload,
+# plus traced runs of the marker-protocol workload (lumod2k) and the
+# multi-threaded one (lu16k_t4). Each run checks its digests and exact
+# counts against perfbench/expected.json; a traced run also checks that
+# ChamProf accounts for 0.8-1.01 of the run, that sim.engine_self_s is not
+# negative, and that its digests equal the untraced ones. Timing bounds are
+# a quiet-host, paired measurement for `perfbench/run.py --compare`, not a
+# CI gate.
 echo "=== [perfbench] output checks ==="
-for workload in lu16k lu16k_t4 lu16k_scalatrace lumod2k; do
-  bench_out="build-check/perfbench-$workload.out"
-  python3 perfbench/run.py --workload "$workload" --seconds 1 --trace 0 \
-    --out build-check/perfbench > "$bench_out" ||
-    { cat "$bench_out" >&2; echo "perfbench $workload: run failed" >&2
+for run in lu16k:0 lu16k_t4:0 lu16k_scalatrace:0 lumod2k:0 lumod2k:1 \
+           lu16k_t4:1; do
+  workload=${run%:*}
+  traced=${run#*:}
+  bench_out="build-check/perfbench-$workload-trace$traced.out"
+  python3 perfbench/run.py --workload "$workload" --seconds 1 \
+    --trace "$traced" --out build-check/perfbench > "$bench_out" ||
+    { cat "$bench_out" >&2
+      echo "perfbench $workload --trace $traced: run failed" >&2
       exit 1; }
-  python3 - "$bench_out" "$workload" <<'EOF'
+  python3 - "$bench_out" "$workload --trace $traced" <<'EOF'
 import json, sys
 doc = json.loads(open(sys.argv[1]).read().strip().splitlines()[-1])
 if doc.get("correct") is not True or doc.get("failed") != 0:

@@ -1,5 +1,7 @@
 #include "cluster/signature.hpp"
 
+#include <algorithm>
+
 namespace cham::cluster {
 
 std::uint64_t signature_distance(const RankSignature& a,
@@ -11,7 +13,8 @@ std::uint64_t signature_distance(const RankSignature& a,
 }
 
 void IntervalSignature::observe(const trace::EventRecord& event) {
-  if (seen_.insert(event.stack_sig).second) {
+  if (std::find(order_.rbegin(), order_.rend(), event.stack_sig) ==
+      order_.rend()) {
     order_.push_back(event.stack_sig);
   }
   // The paper notes the SRC/DEST signatures "often cover other parameters
@@ -39,7 +42,6 @@ RankSignature IntervalSignature::current() const {
 
 void IntervalSignature::reset() {
   order_.clear();
-  seen_.clear();
   src_mean_ = {};
   dest_mean_ = {};
 }

@@ -17,7 +17,6 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_set>
 #include <vector>
 
 #include "support/stats.hpp"
@@ -57,8 +56,11 @@ class IntervalSignature {
   void reset();
 
  private:
-  std::vector<std::uint64_t> order_;        // distinct sigs, first-seen order
-  std::unordered_set<std::uint64_t> seen_;
+  /// Distinct stack signatures, first-seen order. Membership is a scan
+  /// from the back: an interval holds a handful of call paths (at most 6
+  /// on the shipped workloads), and clear() keeps the capacity, so after
+  /// the first interval observe() allocates nothing.
+  std::vector<std::uint64_t> order_;
   support::RunningMean src_mean_;
   support::RunningMean dest_mean_;
 };

@@ -8,9 +8,12 @@
 // compares its repeated marker processing against this single pass.
 #pragma once
 
+#include <memory>
+
 #include "cluster/clusterset.hpp"
 #include "cluster/signature.hpp"
 #include "core/config.hpp"
+#include "core/protocol.hpp"
 #include "trace/tracer.hpp"
 
 namespace cham::core {
@@ -21,9 +24,11 @@ class AcurdionTool : public trace::ScalaTraceTool {
                ChameleonConfig config = {});
 
   [[nodiscard]] const cluster::ClusterSet& clusters() const {
-    return clusters_;
+    return *clusters_;
   }
   [[nodiscard]] std::size_t effective_k() const { return effective_k_; }
+  /// The one-slot cache the broadcast table is decoded through.
+  [[nodiscard]] const SharedTableCache& table_cache() const { return tables_; }
 
  protected:
   void observe_event(sim::Rank rank, const trace::EventRecord& record,
@@ -33,7 +38,9 @@ class AcurdionTool : public trace::ScalaTraceTool {
  private:
   ChameleonConfig config_;
   std::vector<cluster::IntervalSignature> whole_run_;
-  cluster::ClusterSet clusters_;  // rank-0 view
+  SharedTableCache tables_;
+  /// Rank 0's view: empty until the finalize clustering.
+  std::shared_ptr<const cluster::ClusterSet> clusters_;
   std::size_t effective_k_ = 0;  // written by rank 0 only
 };
 

@@ -32,12 +32,14 @@ ChameleonTool::ChameleonTool(int nprocs, trace::CallSiteRegistry* stacks,
     : ScalaTraceTool(nprocs, stacks,
                      trace::TracerOptions{.max_window = config.max_window}),
       config_(config),
+      empty_table_(std::make_shared<const cluster::ClusterSet>()),
       cham_(static_cast<std::size_t>(nprocs)),
       bytes_(static_cast<std::size_t>(nprocs)),
       rank_state_seconds_(static_cast<std::size_t>(nprocs)),
       mem_(static_cast<std::size_t>(nprocs)) {
   CHAM_CHECK_MSG(config_.k >= 1, "K must be at least 1");
   CHAM_CHECK_MSG(config_.call_frequency >= 1, "Call_Frequency must be >= 1");
+  for (RankChamState& cs : cham_) cs.clusters = empty_table_;
 
   const durable::RecoveredState* resume = config_.resume;
   if (resume == nullptr || resume->epoch == 0) return;
@@ -55,9 +57,12 @@ ChameleonTool::ChameleonTool(int nprocs, trace::CallSiteRegistry* stacks,
   effective_k_ = static_cast<std::size_t>(resume->effective_k);
   num_callpaths_ = static_cast<std::size_t>(resume->num_callpaths);
   gaps_emitted_.insert(resume->gap_ranks.begin(), resume->gap_ranks.end());
-  const cluster::ClusterSet table =
-      resume->clusters_wire.empty() ? cluster::ClusterSet{}
-                                    : cluster::ClusterSet::decode(resume->clusters_wire);
+  // One decoded table, shared by every rank.
+  const std::shared_ptr<const cluster::ClusterSet> table =
+      resume->clusters_wire.empty()
+          ? empty_table_
+          : std::make_shared<const cluster::ClusterSet>(
+                cluster::ClusterSet::decode(resume->clusters_wire));
   for (const durable::RankRecord& rec : resume->ranks)
     resume_records_.emplace(rec.rank, rec);
   for (int r = 0; r < nprocs; ++r) {
@@ -68,7 +73,7 @@ ChameleonTool::ChameleonTool(int nprocs, trace::CallSiteRegistry* stacks,
 }
 
 const cluster::ClusterSet& ChameleonTool::clusters() const {
-  return cham_.front().clusters;
+  return *cham_.front().clusters;
 }
 
 std::uint64_t ChameleonTool::marker_calls_processed() const {
@@ -98,16 +103,22 @@ void ChameleonTool::handle_failures(sim::Rank rank, sim::Pmpi& pmpi) {
   sim::Engine& eng = pmpi.engine();
   if (!eng.fault_injection_enabled() || eng.failed_count() == 0) return;
   RankChamState& cs = cham_[static_cast<std::size_t>(rank)];
-  if (cs.clusters.total_clusters() == 0) return;
+  bool any_dead_lead = false;
+  for (const auto& [callpath, entries] : cs.clusters->groups())
+    for (const cluster::ClusterEntry& entry : entries)
+      any_dead_lead = any_dead_lead || eng.is_failed(entry.lead);
+  if (!any_dead_lead) return;
 
   // Every survivor runs this after the same synchronization point (marker
   // barrier or the finalize settle barrier) and before the next crash
   // opportunity (the first tool-comm send/recv), so all observe the
-  // identical failed set and repair their cluster-table copies identically.
+  // identical failed set and repair their tables identically. The table
+  // they hold is shared and immutable: each repairs a private copy.
+  auto repaired = std::make_shared<cluster::ClusterSet>(*cs.clusters);
   const sim::Rank home = cs.epoch_home;
   std::size_t lead_total = 0;
   std::size_t lead_dead = 0;
-  for (auto& [callpath, entries] : cs.clusters.groups_mutable()) {
+  for (auto& [callpath, entries] : repaired->groups_mutable()) {
     for (cluster::ClusterEntry& entry : entries) {
       ++lead_total;
       if (!eng.is_failed(entry.lead)) continue;
@@ -171,13 +182,14 @@ void ChameleonTool::handle_failures(sim::Rank rank, sim::Pmpi& pmpi) {
       if (rank == promoted) state(rank).storing = true;
     }
   }
+  cs.clusters = std::move(repaired);
   if (lead_dead == 0) return;
   const double fraction =
       static_cast<double>(lead_dead) / static_cast<double>(lead_total);
   if (fraction > config_.degrade_fraction) {
     // Too much representative coverage is gone: abandon lead-only tracing
     // and have every survivor trace for itself until the next clustering.
-    cs.clusters = cluster::ClusterSet{};
+    cs.clusters = empty_table_;
     cs.lead_phase = false;
     cs.reclustering = true;
     state(rank).storing = true;
@@ -271,7 +283,7 @@ void ChameleonTool::run_clustering(sim::Rank rank, sim::Pmpi& pmpi,
   ClusterProtocolStats stats;
   cs.clusters =
       hierarchical_cluster(rank, pmpi, sig, config_.k, config_.policy,
-                           config_.seed, rank_perf(rank), &stats);
+                           config_.seed, rank_perf(rank), &stats, tables_);
   if (rank == cs.epoch_home) {
     // Single writer: only the epoch home publishes the clustering quota,
     // and home handoffs are barrier-ordered.
@@ -282,7 +294,7 @@ void ChameleonTool::run_clustering(sim::Rank rank, sim::Pmpi& pmpi,
 
   // Non-leads stop storing traces from here on; their cluster's lead stands
   // in for them (this is where the Table IV zeros come from).
-  const cluster::ClusterEntry* entry = cs.clusters.cluster_of(rank);
+  const cluster::ClusterEntry* entry = cs.clusters->cluster_of(rank);
   if (entry == nullptr) {
     // Only possible when a crash dropped this rank's table mid-reduction:
     // unrepresented survivors trace for themselves (bounded degradation).
@@ -304,9 +316,9 @@ void ChameleonTool::lead_merge_into_online(sim::Rank rank, sim::Pmpi& pmpi) {
   // unless it died). A merge root that died mid-handoff takes the interval
   // with it; the loss surfaces as a gap node at the next failure handling.
   const sim::Rank home = cs.epoch_home;
-  std::vector<trace::TraceNode> merged =
-      merge_leads(rank, cs.clusters.leads(), led_members(cs.clusters, rank),
-                  home, pmpi);
+  const cluster::ClusterSet& table = *cs.clusters;
+  std::vector<trace::TraceNode> merged = merge_leads(
+      rank, table.leads(), led_members(table, rank), home, pmpi);
   if (rank == home && !merged.empty()) {
     obs::Span fold_span(obs::Timeline::rank_tid(rank), "append_fold", "trace");
     const obs::prof::PhaseScope phase(obs::prof::Phase::kFold);
@@ -372,7 +384,7 @@ void ChameleonTool::record_epoch(sim::Rank rank, MarkerState state_tag,
                 {obs::arg_int("marker",
                               static_cast<std::int64_t>(cs.processed)),
                  obs::arg_int("clusters", static_cast<std::int64_t>(
-                                              cs.clusters.total_clusters()))});
+                                              cs.clusters->total_clusters()))});
 
   if (config_.record_digests && rank == cs.epoch_home) {
     // Wire-image digest of what this epoch committed: the cluster table as
@@ -381,7 +393,7 @@ void ChameleonTool::record_epoch(sim::Rank rank, MarkerState state_tag,
     // uses the structural projection — ToolSection bills host CPU time
     // into the virtual clock, so the full wire image's delta histograms are
     // not reproducible even under an identical schedule.
-    const std::vector<std::uint8_t> table = cs.clusters.encode();
+    const std::vector<std::uint8_t> table = cs.clusters->encode();
     const std::vector<std::uint8_t> wire = trace::encode_trace_structure(online_);
     RACE_READ("cham.online", 0, 0);
     RACE_WRITE("cham.epochs", 0, 0);
@@ -398,13 +410,13 @@ void ChameleonTool::record_epoch(sim::Rank rank, MarkerState state_tag,
                   : action == MarkerAction::kCluster ? "cluster"
                                                      : "flush";
   record.callpaths = num_callpaths_;
-  record.clusters = cs.clusters.total_clusters();
-  record.leads = cs.clusters.leads();
+  record.clusters = cs.clusters->total_clusters();
+  record.leads = cs.clusters->leads();
   record.lead_of.assign(static_cast<std::size_t>(nprocs_), -1);
   // One pass over cluster members instead of a cluster_of() probe per world
   // rank (O(P * clusters) at 64k). First entry wins, matching cluster_of's
   // group iteration order for ranks claimed by more than one cluster.
-  for (const auto& [callpath, entries] : cs.clusters.groups()) {
+  for (const auto& [callpath, entries] : cs.clusters->groups()) {
     (void)callpath;
     for (const cluster::ClusterEntry& entry : entries) {
       entry.members.for_each_member([&](sim::Rank r) {
@@ -481,7 +493,7 @@ void ChameleonTool::journal_epoch(sim::Rank rank, sim::Pmpi& pmpi,
   RACE_READ("cham.pending", 0, 0);
   delta.gaps_wire = trace::encode_trace(pending_gaps_);
   delta.interval_wire = pending_interval_wire_;
-  delta.clusters_wire = cs.clusters.encode();
+  delta.clusters_wire = cs.clusters->encode();
   // state_counts_ is written by rank 0 only; a non-zero home exists only
   // after rank 0 died, so there is no live writer to race with.
   RACE_READ("cham.counts", 0, 0);

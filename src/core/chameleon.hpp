@@ -24,6 +24,7 @@
 
 #include <array>
 #include <cstdint>
+#include <memory>
 #include <set>
 #include <unordered_map>
 #include <vector>
@@ -31,6 +32,7 @@
 #include "cluster/clusterset.hpp"
 #include "cluster/signature.hpp"
 #include "core/config.hpp"
+#include "core/protocol.hpp"
 #include "durable/snapshot.hpp"
 #include "obs/report.hpp"
 #include "support/memtrack.hpp"
@@ -50,6 +52,14 @@ class ChameleonTool : public trace::ScalaTraceTool {
 
   /// Cluster table from the most recent clustering (as seen by rank 0).
   [[nodiscard]] const cluster::ClusterSet& clusters() const;
+  /// The table rank `rank` holds: the broadcast table it shares with every
+  /// rank that received the same bytes, or its private copy after a
+  /// failover repair.
+  [[nodiscard]] const cluster::ClusterSet& rank_clusters(sim::Rank rank) const {
+    return *cham_.at(static_cast<std::size_t>(rank)).clusters;
+  }
+  /// The one-slot cache the broadcast tables are decoded through.
+  [[nodiscard]] const SharedTableCache& table_cache() const { return tables_; }
 
   // --- experiment counters (identical on every rank; see Table II) --------
   [[nodiscard]] std::uint64_t marker_calls_processed() const;
@@ -151,7 +161,9 @@ class ChameleonTool : public trace::ScalaTraceTool {
     /// the counter stays per rank only so that no fiber ever writes a
     /// shared slot (ChamRace).
     std::uint64_t processed = 0;
-    cluster::ClusterSet clusters;  // own copy, as broadcast
+    /// The broadcast table, shared with every rank that received the same
+    /// bytes (immutable); a private copy only once a failover repaired it.
+    std::shared_ptr<const cluster::ClusterSet> clusters;
     /// ChamDurable resume: while set, this rank replays the workload
     /// without tracing or protocol work; cleared when the replay reaches
     /// the recovered epoch and the journaled record is adopted.
@@ -206,6 +218,10 @@ class ChameleonTool : public trace::ScalaTraceTool {
   void adopt_resume_state(sim::Rank rank);
 
   ChameleonConfig config_;
+  /// The table every rank holds before its first clustering and after a
+  /// degrade: one shared empty set, not one per rank.
+  std::shared_ptr<const cluster::ClusterSet> empty_table_;
+  SharedTableCache tables_;
   std::vector<RankChamState> cham_;
   std::vector<trace::TraceNode> online_;
 

@@ -1,5 +1,6 @@
 #include "core/protocol.hpp"
 
+#include "analysis/race/annotate.hpp"
 #include "sim/mpi.hpp"
 #include "support/logging.hpp"
 
@@ -12,13 +13,33 @@ constexpr int kClusterTag = 0x7A03;
 constexpr int kSalvageTag = 0x7A04;
 }  // namespace
 
-cluster::ClusterSet hierarchical_cluster(sim::Rank rank, sim::Pmpi& pmpi,
-                                         const cluster::RankSignature& sig,
-                                         std::size_t k,
-                                         cluster::SelectPolicy policy,
-                                         std::uint64_t seed,
-                                         trace::PerfCounters& perf,
-                                         ClusterProtocolStats* stats) {
+// The slot is shared by every rank (and, under the sharded engine, by real
+// threads). Like the rank-list intern table it only ever swaps in immutable
+// values, so ChamRace models it as an atomic container, not as a lock.
+std::shared_ptr<const cluster::ClusterSet> SharedTableCache::get(
+    const std::vector<std::uint8_t>& bytes) {
+  RACE_ATOMIC("core.table_cache", 0, 0);
+  const std::lock_guard<std::mutex> lock(m_);
+  if (table_ == nullptr || bytes != image_) {
+    table_ = std::make_shared<const cluster::ClusterSet>(
+        cluster::ClusterSet::decode(bytes));
+    image_ = bytes;
+    ++decodes_;
+  }
+  return table_;
+}
+
+std::uint64_t SharedTableCache::decodes() const {
+  RACE_ATOMIC("core.table_cache", 0, 0);
+  const std::lock_guard<std::mutex> lock(m_);
+  return decodes_;
+}
+
+std::shared_ptr<const cluster::ClusterSet> hierarchical_cluster(
+    sim::Rank rank, sim::Pmpi& pmpi, const cluster::RankSignature& sig,
+    std::size_t k, cluster::SelectPolicy policy, std::uint64_t seed,
+    trace::PerfCounters& perf, ClusterProtocolStats* stats,
+    SharedTableCache& tables) {
   cluster::ClusterSet mine = cluster::ClusterSet::leaf(rank, sig);
   sim::Engine& eng = pmpi.engine();
   const bool ft = eng.fault_injection_enabled();
@@ -118,8 +139,9 @@ cluster::ClusterSet hierarchical_cluster(sim::Rank rank, sim::Pmpi& pmpi,
   table = pmpi.bcast_bytes(std::move(table), root);
   if (rank != root) perf.bytes_decoded += table.size();
 
+  // The first rank to get here decodes; the others look the table up.
   const trace::ToolSection section(perf.clustering_seconds, pmpi);
-  return cluster::ClusterSet::decode(table);
+  return tables.get(table);
 }
 
 }  // namespace cham::core

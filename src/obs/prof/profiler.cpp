@@ -28,6 +28,10 @@ const char* lock_class_name(LockClass c) {
       return "timeline_sink";
     case LockClass::kMetricsSink:
       return "metrics_sink";
+    case LockClass::kIntern:
+      return "intern";
+    case LockClass::kCallSites:
+      return "call_sites";
     case LockClass::kCount:
       break;
   }

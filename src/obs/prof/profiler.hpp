@@ -64,8 +64,8 @@ inline constexpr bool kCompiledIn = true;
 // Lock contention
 // --------------------------------------------------------------------------
 
-/// Every profiled mutex class in the engine and the obs sinks. Keep
-/// lock_class_name() in sync.
+/// Every profiled mutex class in the engine, the tracer's process-wide
+/// tables and the obs sinks. Keep lock_class_name() in sync.
 enum class LockClass : std::uint8_t {
   kMailbox = 0,   ///< per-(comm, rank) posted/unexpected queues
   kInbox,         ///< per-rank completion inbox
@@ -74,6 +74,8 @@ enum class LockClass : std::uint8_t {
   kShardQueue,    ///< per-shard ready/run lists + fiber states
   kTimelineSink,  ///< Timeline internal mutex
   kMetricsSink,   ///< MetricsRegistry internal mutex
+  kIntern,        ///< rank-list intern table (trace/ranklist.cpp)
+  kCallSites,     ///< call-site name table (trace/callsite.cpp)
   kCount
 };
 [[nodiscard]] const char* lock_class_name(LockClass c);

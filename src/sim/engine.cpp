@@ -423,41 +423,46 @@ void Engine::collective_arrive(
     }
   }
   const double own_arrive = vtime_[static_cast<std::size_t>(self)];
-  bool completer = false;
+  // Every arrival waits for completion except the last one, and a rank
+  // that arrives late at a site approximate progress already forced.
+  bool waits = true;
   {
     const prof::TimedLockGuard site_lock(site->m, prof::LockClass::kCollSite);
     race::ScopedSync sitelock("engine.collsite", ucomm, slot);
     RACE_WRITE("engine.collsite", ucomm, slot);
     CHAM_CHECK_MSG(site->op == op,
                    "collective mismatch: ranks disagree on the operation");
-    deposit(*site);
-    site->max_arrive = std::max(site->max_arrive, own_arrive);
-    ++site->arrived;
-
-    // Dead ranks are routed around: the rendezvous completes once every
-    // *live* rank arrived (a crashed rank is never inside a collective, so
-    // all arrivals are live). With no failures that is all nprocs ranks.
-    if (site->arrived >= live_expected()) {
-      completer = true;
-      finish_site(comm, slot, *site, modelled_completion(*site));
-      // Application-level statistic: tool-comm collectives (clustering
-      // votes, the finalize synchronization) are bookkeeping, not workload
-      // traffic.
-      if (comm != kCommTool) {
-        RACE_ATOMIC("engine.counter.collectives", 0, 0);
-        collectives_run_.fetch_add(1, std::memory_order_relaxed);
-      }
+    RACE_ATOMIC("engine.collsite.done", ucomm, slot);
+    if (site->done.load(std::memory_order_relaxed)) {
+      // Approximate replay force-completed this collective without this
+      // rank (approximate_progress_step). The late rank takes the forced
+      // result and changes nothing else in the site: no deposit, no
+      // max_arrive (the forced waiters read it for their wait time), no
+      // second completion. Forced sites are never erased, so it finds the
+      // same site whether the forced waiters have left it or not.
+      waits = false;
     } else {
-      // Approximate replay may have force-completed this collective without
-      // this rank (approximate_progress_step), leaving the site short. The
-      // late rank takes the forced result, so the site must outlive its
-      // extraction as well as that of every rank still waking up from the
-      // forced completion.
-      RACE_ATOMIC("engine.collsite.done", ucomm, slot);
-      if (site->done.load(std::memory_order_relaxed)) ++site->expected;
+      deposit(*site);
+      site->max_arrive = std::max(site->max_arrive, own_arrive);
+      ++site->arrived;
+      // Dead ranks are routed around: the rendezvous completes once every
+      // *live* rank arrived (a crashed rank is never inside a collective,
+      // so all arrivals are live). With no failures that is all nprocs
+      // ranks.
+      if (site->arrived >= live_expected()) {
+        waits = false;
+        finish_site(comm, slot, *site, modelled_completion(*site));
+        // Application-level statistic: tool-comm collectives (clustering
+        // votes, the finalize synchronization) are bookkeeping, not
+        // workload traffic.
+        if (comm != kCommTool) {
+          RACE_ATOMIC("engine.counter.collectives", 0, 0);
+          collectives_run_.fetch_add(1, std::memory_order_relaxed);
+        }
+      }
     }
   }
-  if (!completer) {
+  if (waits) {
     auto& blocked = blocked_[static_cast<std::size_t>(self)];
     blocked.kind = BlockedState::Kind::kCollective;
     blocked.comm = comm;
@@ -483,7 +488,7 @@ void Engine::collective_arrive(
     vtime_[static_cast<std::size_t>(self)] =
         std::max(own_arrive, site->complete_vtime);
     extract(*site);
-    destroy = ++site->extracted == site->expected;
+    destroy = ++site->extracted == site->expected && !site->forced;
   }
   if (destroy) {
     const prof::TimedLockGuard map_lock(collmap_m_, prof::LockClass::kCollMap);
@@ -692,6 +697,7 @@ bool Engine::approximate_progress_step() {
   }
   // Force-complete collectives some ranks never reached.
   for_each_open_site([&](int comm, std::uint64_t slot, CollSite& site) {
+    site.forced = true;
     finish_site(comm, slot, site, site.max_arrive);
     forced_collectives_.fetch_add(1, std::memory_order_relaxed);
     progressed = true;

@@ -278,6 +278,10 @@ class Engine {
     /// Completion flag, read lock-free by waiting participants' condition
     /// loops (store-release by the completer pairs with their load-acquire).
     std::atomic<bool> done{false};
+    /// Completed by approximate progress without every rank. A forced site
+    /// stays in the table for the rest of the run, so a late arrival joins
+    /// it rather than opening a fresh site.
+    bool forced = false;
     double complete_vtime = 0.0;
     std::vector<std::vector<std::uint8_t>> byte_contribs;
     std::vector<std::vector<std::uint64_t>> u64_contribs;

@@ -8,6 +8,7 @@
 #include <utility>
 
 #include "analysis/race/annotate.hpp"
+#include "obs/prof/profiler.hpp"
 #include "support/arena.hpp"
 #include "support/hash.hpp"
 #include "support/logging.hpp"
@@ -189,7 +190,8 @@ std::size_t footprint_of_sections(const std::vector<RankSection>& sections) {
 // sharded engine, by real threads). Same ChamRace treatment as the callsite
 // table: interned-only (insert-if-absent, entries immutable once present),
 // so it is modelled as an atomic container via RACE_ATOMIC rather than as a
-// ScopedSync region — see callsite.cpp for the rationale.
+// ScopedSync region — see callsite.cpp for the rationale. ChamProf counts
+// its mutex as the `intern` lock class.
 // ---------------------------------------------------------------------------
 
 struct InternTable {
@@ -260,14 +262,16 @@ const detail::InternedRuns* intern_locked(InternTable& t,
 const detail::InternedRuns* intern_runs(std::vector<RankRun>&& runs) {
   InternTable& t = intern_table();
   RACE_ATOMIC("trace.ranklist_intern", 0, 0);
-  const std::lock_guard<std::mutex> lock(t.mutex);
+  const obs::prof::TimedLockGuard lock(t.mutex,
+                                       obs::prof::LockClass::kIntern);
   return intern_locked(t, std::move(runs));
 }
 
 const detail::InternedRuns* intern_singleton(sim::Rank r) {
   InternTable& t = intern_table();
   RACE_ATOMIC("trace.ranklist_intern", 0, 0);
-  const std::lock_guard<std::mutex> lock(t.mutex);
+  const obs::prof::TimedLockGuard lock(t.mutex,
+                                       obs::prof::LockClass::kIntern);
   if (r >= 0 && static_cast<std::size_t>(r) < t.singletons.size()) {
     ++t.singleton_hits;
     return t.singletons[static_cast<std::size_t>(r)];
@@ -330,7 +334,8 @@ const detail::InternedRuns* union_interned(const detail::InternedRuns* a,
   if (a == b) return a;
   InternTable& t = intern_table();
   RACE_ATOMIC("trace.ranklist_intern", 0, 0);
-  const std::lock_guard<std::mutex> lock(t.mutex);
+  const obs::prof::TimedLockGuard lock(t.mutex,
+                                       obs::prof::LockClass::kIntern);
   const std::uint64_t key = pair_key(a, b);
   if (const auto it = t.union_memo.find(key); it != t.union_memo.end()) {
     ++t.union_memo_hits;
@@ -450,7 +455,8 @@ bool RankList::operator==(const RankList& other) const {
 RankListInternStats ranklist_intern_stats() {
   InternTable& t = intern_table();
   RACE_ATOMIC("trace.ranklist_intern", 0, 0);
-  const std::lock_guard<std::mutex> lock(t.mutex);
+  const obs::prof::TimedLockGuard lock(t.mutex,
+                                       obs::prof::LockClass::kIntern);
   RankListInternStats stats;
   stats.entries = t.entries.size();
   stats.singleton_hits = t.singleton_hits;
@@ -461,20 +467,26 @@ RankListInternStats ranklist_intern_stats() {
   return stats;
 }
 
-void ranklist_intern_ensure_world(int nprocs) {
+std::vector<RankList> ranklist_intern_ensure_world(int nprocs) {
   InternTable& t = intern_table();
   RACE_ATOMIC("trace.ranklist_intern", 0, 0);
-  const std::lock_guard<std::mutex> lock(t.mutex);
+  const obs::prof::TimedLockGuard lock(t.mutex,
+                                       obs::prof::LockClass::kIntern);
   while (t.singletons.size() < static_cast<std::size_t>(nprocs)) {
     const auto r = static_cast<sim::Rank>(t.singletons.size());
     t.singletons.push_back(intern_locked(t, {RankRun{r, 1, 1}}));
   }
+  std::vector<RankList> lists(static_cast<std::size_t>(nprocs));
+  for (std::size_t r = 0; r < lists.size(); ++r)
+    lists[r].interned_ = t.singletons[r];
+  return lists;
 }
 
 void ranklist_intern_reset() {
   InternTable& t = intern_table();
   RACE_ATOMIC("trace.ranklist_intern", 0, 0);
-  const std::lock_guard<std::mutex> lock(t.mutex);
+  const obs::prof::TimedLockGuard lock(t.mutex,
+                                       obs::prof::LockClass::kIntern);
   t.by_hash.clear();
   t.singletons.clear();
   t.union_memo.clear();

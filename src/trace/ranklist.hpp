@@ -9,8 +9,8 @@
 // stride>+ in a global intern table. Identical member sets share one
 // interned entry, equality is a pointer compare, unions of previously-seen
 // pairs come from a memo, and the factored sections/footprint are computed
-// once per distinct set. This is what keeps the protocol's per-rank
-// cluster-table copies O(clusters) instead of O(members) at 64k ranks.
+// once per distinct set. This is what keeps a decoded cluster table
+// O(clusters) instead of O(members) at 64k ranks.
 // The runs are exactly pass 1 of the section factorization (maximal
 // arithmetic progressions, greedily from the lowest member).
 #pragma once
@@ -124,6 +124,8 @@ class RankList {
   bool operator==(const RankList& other) const;
 
  private:
+  friend std::vector<RankList> ranklist_intern_ensure_world(int nprocs);
+
   template <typename Fn>
   static bool visit(Fn&& fn, sim::Rank r) {
     if constexpr (std::is_void_v<decltype(fn(r))>) {
@@ -149,9 +151,11 @@ struct RankListInternStats {
 
 [[nodiscard]] RankListInternStats ranklist_intern_stats();
 
-/// Pre-install singleton entries for ranks [0, nprocs). Called once before
-/// fibers start (tool constructors); makes RankList::single a table lookup.
-void ranklist_intern_ensure_world(int nprocs);
+/// Pre-install singleton entries for ranks [0, nprocs) and return their
+/// lists, fetched under one lock. Called once before fibers start (tool
+/// constructors): each rank keeps its own handle, so the per-event path
+/// never takes the table lock, and RankList::single stays a table lookup.
+std::vector<RankList> ranklist_intern_ensure_world(int nprocs);
 
 /// Drop the whole intern table and its arena (bulk teardown between bench
 /// runs / tests). Every non-empty RankList must be dead — interned pointers

@@ -25,14 +25,13 @@ ScalaTraceTool::ScalaTraceTool(int nprocs, CallSiteRegistry* stacks,
   CHAM_CHECK_MSG(stacks_ != nullptr, "tracer needs a call-site registry");
   CHAM_CHECK_MSG(stacks_->nprocs() == nprocs,
                  "registry size must match world size");
-  // Pre-install per-rank singleton ranklists while still pre-fiber: every
-  // event record starts as single(r).
-  ranklist_intern_ensure_world(nprocs);
+  // Pre-install the per-rank singleton ranklists while still pre-fiber and
+  // hand each rank its own: every event record starts as that list.
+  const std::vector<RankList> singles = ranklist_intern_ensure_world(nprocs);
   rank_perf_.resize(static_cast<std::size_t>(nprocs));
   state_.reserve(static_cast<std::size_t>(nprocs));
-  for (int r = 0; r < nprocs; ++r)
-    state_.emplace_back(opts_.max_window,
-                        &rank_perf_[static_cast<std::size_t>(r)]);
+  for (std::size_t r = 0; r < singles.size(); ++r)
+    state_.emplace_back(opts_.max_window, &rank_perf_[r], singles[r]);
 }
 
 void ScalaTraceTool::on_init(sim::Rank rank, sim::Pmpi& pmpi) {
@@ -55,7 +54,7 @@ void ScalaTraceTool::on_post(sim::Rank rank, const sim::CallInfo& info,
   RankTraceState& st = state(rank);
   RACE_WRITE("trace.rank", rank, 0);
   const double delta = st.pre_vtime - st.last_event_end;
-  EventRecord record = make_record(rank, info, delta);
+  EventRecord record = make_record(rank, st, info, delta);
 
   ++st.events_observed;
   observe_event(rank, record, pmpi);
@@ -71,6 +70,7 @@ void ScalaTraceTool::on_post(sim::Rank rank, const sim::CallInfo& info,
 }
 
 EventRecord ScalaTraceTool::make_record(sim::Rank rank,
+                                        const RankTraceState& st,
                                         const sim::CallInfo& info,
                                         double delta) const {
   EventRecord record;
@@ -108,7 +108,7 @@ EventRecord ScalaTraceTool::make_record(sim::Rank rank,
       break;  // barrier, allreduce, allgather, alltoall, waitall: no endpoint
   }
 
-  record.ranks = RankList::single(rank);
+  record.ranks = st.self;
   if (delta > 0) record.delta.add(delta);
   return record;
 }

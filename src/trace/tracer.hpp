@@ -35,10 +35,14 @@ struct TracerOptions {
 
 /// Per-rank tracing state (protected so Chameleon can drive it).
 struct RankTraceState {
-  explicit RankTraceState(int max_window, PerfCounters* perf = nullptr)
-      : intra(max_window, perf) {}
+  RankTraceState(int max_window, PerfCounters* perf, RankList self)
+      : intra(max_window, perf), self(self) {}
 
   IntraTrace intra;
+  /// The rank's singleton ranklist, fetched before fibers start: every
+  /// event record starts as this list, so the per-event path reads only
+  /// state the rank owns and never takes the intern-table lock.
+  RankList self;
   double last_event_end = 0.0;
   double pre_vtime = 0.0;
   /// When false the rank observes events (signatures still computed) but
@@ -121,8 +125,9 @@ class ScalaTraceTool : public sim::Tool {
   }
 
   /// Build the event record for a completed call (relative endpoints,
-  /// delta-time sample, singleton ranklist).
+  /// delta-time sample, the rank's singleton ranklist).
   [[nodiscard]] EventRecord make_record(sim::Rank rank,
+                                        const RankTraceState& st,
                                         const sim::CallInfo& info,
                                         double delta) const;
 

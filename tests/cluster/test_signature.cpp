@@ -2,6 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <unordered_set>
+#include <vector>
+
+#include "support/rng.hpp"
+#include "support/stats.hpp"
+
 namespace cham::cluster {
 namespace {
 
@@ -89,6 +96,72 @@ TEST(IntervalSignature, NewCallSiteChangesCallpath) {
   const auto phase1 = sig.current().callpath;
   sig.observe(ev(0x2));
   EXPECT_NE(sig.current().callpath, phase1);
+}
+
+/// The interval signature as it was built on a hash set: the reference the
+/// allocation-free scan must reproduce exactly.
+class HashSetSignature {
+ public:
+  void observe(const trace::EventRecord& event) {
+    if (seen_.insert(event.stack_sig).second) order_.push_back(event.stack_sig);
+    const std::uint64_t size_term = event.bytes / 64;
+    if (event.src.kind != trace::Endpoint::Kind::kNone)
+      src_mean_.add(event.src.feature() + size_term);
+    if (event.dest.kind != trace::Endpoint::Kind::kNone)
+      dest_mean_.add(event.dest.feature() + size_term);
+  }
+  [[nodiscard]] RankSignature current() const {
+    RankSignature sig;
+    for (std::size_t i = 0; i < order_.size(); ++i)
+      sig.callpath ^= order_[i] * static_cast<std::uint64_t>((i % 10) + 1);
+    sig.src = src_mean_.mean();
+    sig.dest = dest_mean_.mean();
+    return sig;
+  }
+  [[nodiscard]] std::size_t distinct_events() const { return order_.size(); }
+  void reset() {
+    order_.clear();
+    seen_.clear();
+    src_mean_ = {};
+    dest_mean_ = {};
+  }
+
+ private:
+  std::vector<std::uint64_t> order_;
+  std::unordered_set<std::uint64_t> seen_;
+  support::RunningMean src_mean_;
+  support::RunningMean dest_mean_;
+};
+
+TEST(IntervalSignature, MatchesHashSetReferenceOnRandomStreams) {
+  // Streams drawn from a small pool of call paths (so paths repeat, in and
+  // out of order), with random endpoints, sizes and marker resets.
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    support::Rng rng(seed);
+    std::vector<std::uint64_t> pool(1 + rng.next_below(16));
+    for (std::uint64_t& sig : pool) sig = rng.next_u64();
+    IntervalSignature fast;
+    HashSetSignature reference;
+    for (int i = 0; i < 2000; ++i) {
+      if (rng.next_below(50) == 0) {
+        fast.reset();
+        reference.reset();
+      }
+      trace::EventRecord event;
+      event.stack_sig = pool[rng.next_below(pool.size())];
+      event.bytes = rng.next_below(1 << 16);
+      const auto offset = static_cast<std::int32_t>(rng.next_below(64)) - 32;
+      if (rng.next_below(2) == 0)
+        event.src = trace::Endpoint{trace::Endpoint::Kind::kRelative, offset};
+      if (rng.next_below(2) == 0)
+        event.dest = trace::Endpoint{trace::Endpoint::Kind::kRelative, -offset};
+      fast.observe(event);
+      reference.observe(event);
+      ASSERT_EQ(fast.current(), reference.current())
+          << "seed " << seed << ", event " << i;
+      ASSERT_EQ(fast.distinct_events(), reference.distinct_events());
+    }
+  }
 }
 
 TEST(SignatureDistance, ZeroForIdentical) {

@@ -217,6 +217,36 @@ TEST(LeadFailover, DeadLeadYieldsExactlyOneGapAndPromotion) {
   EXPECT_EQ(lint_errors(online, 16, /*full_cover=*/true), 0u);
 }
 
+TEST(LeadFailover, SurvivorsRepairPrivateCopiesOfTheSharedTable) {
+  // Every rank holds the one broadcast table. When a lead dies, each
+  // survivor repairs its own copy; the shared table stays as broadcast.
+  const cluster::ClusterSet reference = reference_clusters(16, 12);
+  sim::Rank victim = sim::kAnySource;
+  for (const auto& [callpath, entries] : reference.groups()) {
+    for (const auto& entry : entries) {
+      if (entry.lead != 0 && entry.members.count() > 1) victim = entry.lead;
+    }
+  }
+  ASSERT_NE(victim, sim::kAnySource);
+
+  FaultyHarness h(16, "crash rank=" + std::to_string(victim) + " marker=8");
+  h.engine.run([&](sim::Mpi& mpi) { steady_phase(mpi, h.stacks, 12); });
+  ASSERT_TRUE(h.engine.is_failed(victim));
+
+  // The victim died holding the shared table, which is unchanged: it still
+  // names the victim as a lead, exactly as broadcast.
+  const cluster::ClusterSet& shared = h.tool.rank_clusters(victim);
+  EXPECT_EQ(shared, reference);
+  const cluster::ClusterSet& repaired = h.tool.rank_clusters(0);
+  EXPECT_NE(repaired, reference);
+  EXPECT_NE(repaired.cluster_of(victim)->lead, victim);
+  for (sim::Rank r = 0; r < 16; ++r) {
+    if (r == victim) continue;
+    EXPECT_EQ(h.tool.rank_clusters(r), repaired) << "rank " << r;
+    EXPECT_NE(&h.tool.rank_clusters(r), &shared) << "rank " << r;
+  }
+}
+
 // --- crash mid-reduction: table still reaches every survivor -------------
 
 TEST(LeadFailover, MidReductionCrashStillYieldsClusterTable) {

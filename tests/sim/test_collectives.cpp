@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 #include "sim/engine.hpp"
@@ -171,6 +172,67 @@ TEST(Collectives, LateArrivalAtForcedBarrierKeepsSiteAlive) {
   EXPECT_EQ(engine.cancelled_recvs(), 1u);
   EXPECT_GE(engine.forced_collectives(), 1u);
   EXPECT_GE(late_leaves_at, 5.0);
+}
+
+struct LateBarrierProbe {
+  std::uint64_t collectives = 0;
+  std::uint64_t forced = 0;
+  std::vector<double> arrived;  ///< per rank: virtual time at the barrier
+  std::vector<double> left;     ///< per rank: virtual time leaving it
+};
+
+/// Approximate progress: all four ranks call a world barrier, but `late`
+/// first computes 5 s and waits on a receive that never comes. The stall
+/// cancels the receive and forces the barrier for the other three; the
+/// late rank then arrives at the forced site.
+LateBarrierProbe late_barrier_probe(Rank late) {
+  Engine engine({.nprocs = 4});
+  engine.enable_approximate_progress();
+  LateBarrierProbe probe;
+  probe.arrived.assign(4, -1.0);
+  probe.left.assign(4, -1.0);
+  engine.run([&](Mpi& mpi) {
+    if (mpi.rank() == late) {
+      mpi.compute(5.0);
+      mpi.recv((late + 1) % 4, 8, /*tag=*/7);
+    }
+    probe.arrived[static_cast<std::size_t>(mpi.rank())] = mpi.vtime();
+    mpi.barrier();
+    probe.left[static_cast<std::size_t>(mpi.rank())] = mpi.vtime();
+  });
+  probe.collectives = engine.collectives_run();
+  probe.forced = engine.forced_collectives();
+  return probe;
+}
+
+TEST(Collectives, LateArrivalAtForcedBarrierDoesNotDependOnRankOrder) {
+  // Whether the late rank runs before or after the forced waiters leave
+  // the site (rank 0 runs first, rank 3 last), it joins the forced site
+  // and changes nothing there: one forced barrier, no second completion.
+  const LateBarrierProbe first = late_barrier_probe(0);
+  const LateBarrierProbe last = late_barrier_probe(3);
+  EXPECT_EQ(first.collectives, last.collectives);
+  EXPECT_EQ(first.forced, last.forced);
+  EXPECT_EQ(first.forced, 1u);
+  for (const auto& [late, probe] :
+       {std::pair<Rank, const LateBarrierProbe&>{0, first}, {3, last}}) {
+    // The forced completion is the latest of the three on-time arrivals.
+    const double forced_at = probe.left[late == 0 ? 1 : 0];
+    EXPECT_LT(forced_at, 5.0) << "late rank " << late;
+    for (Rank r = 0; r < 4; ++r) {
+      const double left = probe.left[static_cast<std::size_t>(r)];
+      if (r == late) {
+        // Leaves at its own arrival: the cancelled receive's completion,
+        // just after the 5 s of compute.
+        EXPECT_NEAR(left, 5.0, 1e-5) << "late rank " << late;
+        EXPECT_DOUBLE_EQ(left, probe.arrived[static_cast<std::size_t>(r)]);
+      } else {
+        EXPECT_DOUBLE_EQ(left, forced_at)
+            << "late rank " << late << ", rank " << r;
+      }
+    }
+  }
+  EXPECT_DOUBLE_EQ(first.left[1], last.left[0]);
 }
 
 TEST(Collectives, ForcedAllreduceFoldsThePresentRanks) {

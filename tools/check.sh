@@ -233,6 +233,9 @@ if sum(s["barrier_wait_seconds"] for s in shards) <= 0:
     sys.exit("champrof: no barrier wait recorded")
 if not any(lk["acquisitions"] > 0 for lk in doc["locks"]):
     sys.exit("champrof: no lock acquisitions recorded")
+if not any(lk["name"] == "intern" and lk["acquisitions"] > 0
+           for lk in doc["locks"]):
+    sys.exit("champrof: no rank-list intern lock acquisitions recorded")
 if not doc["phases"]:
     sys.exit("champrof: empty phase attribution")
 if doc["overhead"]["profiling_seconds"] < 0:

@@ -41,9 +41,7 @@ RunOutcome run_experiment(ToolKind kind, const RunConfig& config,
     case ToolKind::kNone:
       break;
     case ToolKind::kScalaTrace:
-      tool = std::make_unique<trace::ScalaTraceTool>(
-          config.nprocs, &stacks,
-          trace::TracerOptions{.max_window = cham.max_window});
+      tool = std::make_unique<trace::ScalaTraceTool>(config.nprocs, &stacks);
       break;
     case ToolKind::kChameleon:
       tool = std::make_unique<core::ChameleonTool>(config.nprocs, &stacks, cham);
@@ -87,7 +85,7 @@ RunOutcome run_experiment(ToolKind kind, const RunConfig& config,
       for (int r = 0; r < config.nprocs; ++r) {
         for (std::size_t s = 0; s < 4; ++s) {
           out.rank_state_bytes[static_cast<std::size_t>(r)][s] =
-              chameleon->rank_state_bytes(r, static_cast<core::MarkerState>(s));
+              chameleon->rank_ledger(r, static_cast<core::MarkerState>(s));
         }
       }
     }

@@ -60,7 +60,7 @@ struct RunOutcome {
   std::size_t num_callpaths = 0;
   /// Per-rank, per-state average bytes per call (Table IV); empty unless
   /// requested via RunConfig-independent flag below.
-  std::vector<std::array<core::ChameleonTool::StateBytes, 4>> rank_state_bytes;
+  std::vector<std::array<core::ChameleonTool::StateLedger, 4>> rank_state_bytes;
 };
 
 /// Execute the configured workload under the given tool.

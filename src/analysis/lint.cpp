@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <sstream>
-#include <unordered_set>
 
+#include "cluster/signature.hpp"
 #include "support/histogram.hpp"
 #include "trace/serialize.hpp"
 
@@ -149,18 +149,16 @@ void collect_cover(const trace::TraceNode& node, std::vector<bool>& seen) {
   });
 }
 
-void collect_callpath(const trace::TraceNode& node,
-                      std::unordered_set<std::uint64_t>& seen,
-                      std::vector<std::uint64_t>& order) {
+/// Feed the trace's leaves to `sig` in order, each loop body once: the
+/// first iteration of a loop meets the body's stack signatures in body
+/// order, and later iterations add no new distinct ones.
+void observe_leaves(const trace::TraceNode& node,
+                    cluster::IntervalSignature& sig) {
   if (node.is_loop()) {
-    // Compressed form preserves first-seen order: the first iteration of a
-    // loop meets the body's signatures in body order, and later iterations
-    // add no new distinct signatures.
-    for (const auto& child : node.body) collect_callpath(child, seen, order);
+    for (const auto& child : node.body) observe_leaves(child, sig);
     return;
   }
-  if (seen.insert(node.event.stack_sig).second)
-    order.push_back(node.event.stack_sig);
+  sig.observe(node.event);
 }
 
 }  // namespace
@@ -186,14 +184,9 @@ void lint_trace(const std::vector<trace::TraceNode>& nodes,
 }
 
 std::uint64_t recompute_callpath(const std::vector<trace::TraceNode>& nodes) {
-  std::unordered_set<std::uint64_t> seen;
-  std::vector<std::uint64_t> order;
-  for (const auto& node : nodes) collect_callpath(node, seen, order);
-  std::uint64_t callpath = 0;
-  for (std::size_t i = 0; i < order.size(); ++i) {
-    callpath ^= order[i] * static_cast<std::uint64_t>((i % 10) + 1);
-  }
-  return callpath;
+  cluster::IntervalSignature sig;
+  for (const auto& node : nodes) observe_leaves(node, sig);
+  return sig.current().callpath;
 }
 
 void lint_signature(const std::vector<trace::TraceNode>& nodes,

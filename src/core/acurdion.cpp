@@ -7,8 +7,7 @@ namespace cham::core {
 
 AcurdionTool::AcurdionTool(int nprocs, trace::CallSiteRegistry* stacks,
                            ChameleonConfig config)
-    : ScalaTraceTool(nprocs, stacks,
-                     trace::TracerOptions{.max_window = config.max_window}),
+    : ScalaTraceTool(nprocs, stacks),
       config_(config),
       whole_run_(static_cast<std::size_t>(nprocs)),
       clusters_(std::make_shared<const cluster::ClusterSet>()) {}

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <optional>
+#include <utility>
 
 #include "analysis/race/annotate.hpp"
 #include "core/protocol.hpp"
@@ -29,14 +30,10 @@ const char* marker_state_name(MarkerState state) {
 
 ChameleonTool::ChameleonTool(int nprocs, trace::CallSiteRegistry* stacks,
                              ChameleonConfig config)
-    : ScalaTraceTool(nprocs, stacks,
-                     trace::TracerOptions{.max_window = config.max_window}),
+    : ScalaTraceTool(nprocs, stacks),
       config_(config),
       empty_table_(std::make_shared<const cluster::ClusterSet>()),
-      cham_(static_cast<std::size_t>(nprocs)),
-      bytes_(static_cast<std::size_t>(nprocs)),
-      rank_state_seconds_(static_cast<std::size_t>(nprocs)),
-      mem_(static_cast<std::size_t>(nprocs)) {
+      cham_(static_cast<std::size_t>(nprocs)) {
   CHAM_CHECK_MSG(config_.k >= 1, "K must be at least 1");
   CHAM_CHECK_MSG(config_.call_frequency >= 1, "Call_Frequency must be >= 1");
   for (RankChamState& cs : cham_) cs.clusters = empty_table_;
@@ -53,7 +50,7 @@ ChameleonTool::ChameleonTool(int nprocs, trace::CallSiteRegistry* stacks,
   resume_target_ = resume->epoch;
   trace::import_sites(resume->sites);
   online_ = trace::decode_trace(resume->online_wire);
-  state_counts_ = resume->state_counts;
+  resumed_counts_ = resume->state_counts;
   effective_k_ = static_cast<std::size_t>(resume->effective_k);
   num_callpaths_ = static_cast<std::size_t>(resume->num_callpaths);
   gaps_emitted_.insert(resume->gap_ranks.begin(), resume->gap_ranks.end());
@@ -72,24 +69,25 @@ ChameleonTool::ChameleonTool(int nprocs, trace::CallSiteRegistry* stacks,
   }
 }
 
-const cluster::ClusterSet& ChameleonTool::clusters() const {
-  return *cham_.front().clusters;
-}
-
-std::uint64_t ChameleonTool::marker_calls_processed() const {
-  // Every live rank counts every processed marker it passed; the global
-  // count is the longest-lived rank's view (ranks only ever die, so any
-  // survivor saw every earlier marker).
-  std::uint64_t processed = 0;
+const ChameleonTool::RankChamState& ChameleonTool::view() const {
+  // Ranks only ever die, so the rank that got furthest saw every epoch any
+  // other rank saw. A rank that died inside an epoch ties on markers with
+  // the survivors but closed one epoch fewer.
+  const auto progress = [](const RankChamState& cs) {
+    std::uint64_t closed = 0;
+    for (const StateLedger& entry : cs.ledger) closed += entry.calls;
+    return std::pair(cs.processed, closed);
+  };
+  const RankChamState* best = &cham_.front();
   for (const RankChamState& cs : cham_)
-    processed = std::max(processed, cs.processed);
-  return processed;
+    if (progress(cs) > progress(*best)) best = &cs;
+  return *best;
 }
 
 double ChameleonTool::state_seconds(MarkerState state) const {
   double total = 0.0;
-  for (const auto& per_rank : rank_state_seconds_)
-    total += per_rank[static_cast<std::size_t>(state)];
+  for (const RankChamState& cs : cham_)
+    total += cs.ledger[static_cast<std::size_t>(state)].seconds;
   return total;
 }
 
@@ -182,16 +180,25 @@ void ChameleonTool::handle_failures(sim::Rank rank, sim::Pmpi& pmpi) {
       if (rank == promoted) state(rank).storing = true;
     }
   }
+  // A cluster whose every member died has nobody to promote: it leaves the
+  // table (its gap node stays), so no dead rank roots a later lead merge.
+  auto& groups = repaired->groups_mutable();
+  for (auto group = groups.begin(); group != groups.end();) {
+    std::erase_if(group->second, [&](const cluster::ClusterEntry& entry) {
+      return eng.is_failed(entry.lead);
+    });
+    group = group->second.empty() ? groups.erase(group) : std::next(group);
+  }
   cs.clusters = std::move(repaired);
   if (lead_dead == 0) return;
   const double fraction =
       static_cast<double>(lead_dead) / static_cast<double>(lead_total);
-  if (fraction > config_.degrade_fraction) {
+  if (fraction > kDegradeFraction) {
     // Too much representative coverage is gone: abandon lead-only tracing
     // and have every survivor trace for itself until the next clustering.
     cs.clusters = empty_table_;
-    cs.lead_phase = false;
-    cs.reclustering = true;
+    cs.protocol.lead_phase = false;
+    cs.protocol.reclustering = true;
     state(rank).storing = true;
   }
 }
@@ -207,12 +214,13 @@ void ChameleonTool::on_post(sim::Rank rank, const sim::CallInfo& info,
   // rank of an SPMD code, so "the first collective call site seen twice"
   // is a globally consistent choice that needs no extra communication.
   RankChamState& cs = cham_[static_cast<std::size_t>(rank)];
+  std::uint64_t& auto_site = cs.protocol.auto_site;
   const std::uint64_t site = stacks_->stack(rank).signature();
-  if (cs.auto_site == 0 && ++cs.site_counts[site] >= 2) {
-    cs.auto_site = site;
+  if (auto_site == 0 && ++cs.site_counts[site] >= 2) {
+    auto_site = site;
     cs.site_counts.clear();
   }
-  if (cs.auto_site == site) handle_marker_post(rank, pmpi);
+  if (auto_site == site) handle_marker_post(rank, pmpi);
 }
 
 void ChameleonTool::observe_event(sim::Rank rank,
@@ -241,15 +249,16 @@ cluster::RankSignature ChameleonTool::close_interval(sim::Rank rank) {
 MarkerAction ChameleonTool::algorithm1(sim::Rank rank, sim::Pmpi& pmpi,
                                        const cluster::RankSignature& sig) {
   RankChamState& cs = cham_[static_cast<std::size_t>(rank)];
-  if (cs.first_marker) {
+  durable::RankProtocol& p = cs.protocol;
+  if (p.first_marker) {
     // First marker: no history to compare against; stay in AT without any
     // communication (every rank takes this branch simultaneously).
-    cs.first_marker = false;
-    cs.old_callpath = sig.callpath;
+    p.first_marker = false;
+    p.old_callpath = sig.callpath;
     return MarkerAction::kNone;
   }
 
-  const std::uint64_t mismatch = cs.old_callpath != sig.callpath ? 1 : 0;
+  const std::uint64_t mismatch = p.old_callpath != sig.callpath ? 1 : 0;
   // The collective vote: MPI_Reduce + MPI_Bcast, O(log P). Communication is
   // deliberately untimed (blocking); only local work counts as CPU. The
   // root is rank 0 until it dies, then the lowest survivor.
@@ -260,18 +269,18 @@ MarkerAction ChameleonTool::algorithm1(sim::Rank rank, sim::Pmpi& pmpi,
   // The local vote bookkeeping below is a handful of instructions — far
   // below timer resolution, so it is not timed; only the clustering path
   // (run_clustering) does measurable local work.
-  cs.old_callpath = sig.callpath;
+  p.old_callpath = sig.callpath;
   if (glob == 0) {
-    if (cs.reclustering) {
-      cs.reclustering = false;
+    if (p.reclustering) {
+      p.reclustering = false;
       return MarkerAction::kCluster;
     }
     return MarkerAction::kNone;  // quiet lead phase
   }
-  if (cs.lead_phase) {
+  if (p.lead_phase) {
     return MarkerAction::kFlush;
   }
-  cs.reclustering = true;
+  p.reclustering = true;
   return MarkerAction::kNone;  // stay in / fall back to AT
 }
 
@@ -330,8 +339,7 @@ void ChameleonTool::lead_merge_into_online(sim::Rank rank, sim::Pmpi& pmpi) {
       pending_interval_wire_ = trace::encode_trace(merged);
     }
     RACE_WRITE("cham.online", 0, 0);
-    trace::append_online(online_, std::move(merged), config_.max_window,
-                         &rank_perf(rank));
+    trace::append_online(online_, std::move(merged), &rank_perf(rank));
   }
 }
 
@@ -344,38 +352,27 @@ void ChameleonTool::finish_epoch(sim::Rank rank, sim::Pmpi& pmpi,
                                  MarkerState state_tag, MarkerAction action,
                                  std::uint64_t intra_bytes,
                                  double ledger_before, bool final_epoch) {
-  const auto s = static_cast<std::size_t>(state_tag);
-  if (rank == 0) {
-    // Single writer by construction (only rank 0's fiber touches it).
-    RACE_WRITE("cham.counts", 0, 0);
-    ++state_counts_[s];
-  }
+  RankChamState& cs = cham_[static_cast<std::size_t>(rank)];
   RACE_WRITE("cham.rank", rank, 0);
-  rank_state_seconds_[static_cast<std::size_t>(rank)][s] +=
-      protocol_seconds(rank) - ledger_before;
-
+  StateLedger& entry = cs.ledger[static_cast<std::size_t>(state_tag)];
+  ++entry.calls;
+  entry.seconds += protocol_seconds(rank) - ledger_before;
   // Table IV bookkeeping: the partial trace held during this interval plus
-  // (at rank 0) the online trace after this epoch's append.
-  StateBytes& bucket = bytes_[static_cast<std::size_t>(rank)][s];
-  ++bucket.calls;
-  bucket.bytes_total += intra_bytes;
-  if (rank == 0 && !online_.empty()) {
+  // (at the home rank) the online trace after this epoch's append.
+  entry.bytes_total += intra_bytes;
+  if (rank == cs.epoch_home && !online_.empty()) {
     RACE_READ("cham.online", 0, 0);
-    bucket.bytes_total += trace::footprint_bytes(online_);
+    entry.bytes_total += trace::footprint_bytes(online_);
   }
+  cs.held_bytes = intra_bytes;
+  cs.peak_held_bytes = std::max(cs.peak_held_bytes, intra_bytes);
 
-  record_epoch(rank, state_tag, action, intra_bytes);
+  record_epoch(rank, state_tag, action);
   journal_epoch(rank, pmpi, state_tag, action, final_epoch);
 }
 
 void ChameleonTool::record_epoch(sim::Rank rank, MarkerState state_tag,
-                                 MarkerAction action,
-                                 std::uint64_t intra_bytes) {
-  // Partial-trace footprint re-charge: current() follows the live interval,
-  // peak() keeps the worst epoch this rank ever held.
-  support::MemTracker& mem = mem_[static_cast<std::size_t>(rank)];
-  mem.charge(static_cast<std::int64_t>(intra_bytes) - mem.current());
-
+                                 MarkerAction action) {
   const RankChamState& cs = cham_[static_cast<std::size_t>(rank)];
   if (obs::Timeline* tl = obs::timeline())
     tl->instant(obs::Timeline::rank_tid(rank),
@@ -385,22 +382,6 @@ void ChameleonTool::record_epoch(sim::Rank rank, MarkerState state_tag,
                               static_cast<std::int64_t>(cs.processed)),
                  obs::arg_int("clusters", static_cast<std::int64_t>(
                                               cs.clusters->total_clusters()))});
-
-  if (config_.record_digests && rank == cs.epoch_home) {
-    // Wire-image digest of what this epoch committed: the cluster table as
-    // broadcast plus the online trace as it would ship. Appended by the
-    // epoch home only; home handoffs are barrier-ordered. The trace side
-    // uses the structural projection — ToolSection bills host CPU time
-    // into the virtual clock, so the full wire image's delta histograms are
-    // not reproducible even under an identical schedule.
-    const std::vector<std::uint8_t> table = cs.clusters->encode();
-    const std::vector<std::uint8_t> wire = trace::encode_trace_structure(online_);
-    RACE_READ("cham.online", 0, 0);
-    RACE_WRITE("cham.epochs", 0, 0);
-    epoch_digests_.push_back(support::hash_combine(
-        support::fnv1a64(table.data(), table.size()),
-        support::fnv1a64(wire.data(), wire.size())));
-  }
 
   if (!config_.record_epochs || rank != cs.epoch_home) return;
   obs::EpochRecord record;
@@ -427,6 +408,17 @@ void ChameleonTool::record_epoch(sim::Rank rank, MarkerState state_tag,
       });
     }
   }
+  // Wire-image digest of what this epoch committed: the cluster table as
+  // broadcast plus the online trace as it would ship. The trace side uses
+  // the structural projection — ToolSection bills host CPU time into the
+  // virtual clock, so the full wire image's delta histograms are not
+  // reproducible even under an identical schedule.
+  const std::vector<std::uint8_t> table = cs.clusters->encode();
+  RACE_READ("cham.online", 0, 0);
+  const std::vector<std::uint8_t> wire = trace::encode_trace_structure(online_);
+  record.digest =
+      support::hash_combine(support::fnv1a64(table.data(), table.size()),
+                            support::fnv1a64(wire.data(), wire.size()));
   RACE_WRITE("cham.epochs", 0, 0);
   epochs_.push_back(std::move(record));
 }
@@ -443,12 +435,7 @@ void ChameleonTool::adopt_resume_state(sim::Rank rank) {
     return;
   }
   const durable::RankRecord& rec = it->second;
-  cs.first_marker = rec.first_marker;
-  cs.reclustering = rec.reclustering;
-  cs.lead_phase = rec.lead_phase;
-  cs.old_callpath = rec.old_callpath;
-  cs.markers_seen = rec.markers_seen;
-  if (rec.auto_site != 0) cs.auto_site = rec.auto_site;
+  cs.protocol = rec.protocol;
   st.storing = rec.storing;
   st.intra.restore(trace::decode_trace(rec.intra_wire));
   cs.interval.reset();
@@ -469,13 +456,8 @@ void ChameleonTool::journal_epoch(sim::Rank rank, sim::Pmpi& pmpi,
   rec.epoch = cs.processed;
   rec.rank = rank;
   rec.final_epoch = final_epoch;
-  rec.first_marker = cs.first_marker;
-  rec.reclustering = cs.reclustering;
-  rec.lead_phase = cs.lead_phase;
   rec.storing = st.storing;
-  rec.old_callpath = cs.old_callpath;
-  rec.markers_seen = cs.markers_seen;
-  rec.auto_site = cs.auto_site;
+  rec.protocol = cs.protocol;
   rec.intra_wire = trace::encode_trace(st.intra.nodes());
   cp->append_rank_record(rec);
 
@@ -494,10 +476,8 @@ void ChameleonTool::journal_epoch(sim::Rank rank, sim::Pmpi& pmpi,
   delta.gaps_wire = trace::encode_trace(pending_gaps_);
   delta.interval_wire = pending_interval_wire_;
   delta.clusters_wire = cs.clusters->encode();
-  // state_counts_ is written by rank 0 only; a non-zero home exists only
-  // after rank 0 died, so there is no live writer to race with.
-  RACE_READ("cham.counts", 0, 0);
-  delta.state_counts = state_counts_;
+  for (std::size_t s = 0; s < delta.state_counts.size(); ++s)
+    delta.state_counts[s] = resumed_counts_[s] + cs.ledger[s].calls;
   delta.effective_k = effective_k_;
   delta.num_callpaths = num_callpaths_;
   sim::Engine& eng = pmpi.engine();
@@ -516,26 +496,20 @@ void ChameleonTool::journal_epoch(sim::Rank rank, sim::Pmpi& pmpi,
 
 void ChameleonTool::handle_marker_post(sim::Rank rank, sim::Pmpi& pmpi) {
   RankChamState& cs = cham_[static_cast<std::size_t>(rank)];
+  if (++cs.protocol.markers_seen %
+          static_cast<std::uint64_t>(config_.call_frequency) != 0)
+    return;
+  RACE_WRITE("cham.rank", rank, 0);
+  ++cs.processed;
   if (cs.fast_forward) {
     // Resume replay: count the marker cadence exactly as the original run
     // did, but skip all tracing and protocol work (the journal already
     // holds the outcome). At the recovered epoch the rank adopts its
     // journaled record and goes live.
-    ++cs.markers_seen;
-    if (cs.markers_seen %
-            static_cast<std::uint64_t>(config_.call_frequency) != 0)
-      return;
-    RACE_WRITE("cham.rank", rank, 0);
-    ++cs.processed;
     if (cs.processed >= resume_target_) adopt_resume_state(rank);
     return;
   }
-  ++cs.markers_seen;
-  if (cs.markers_seen % static_cast<std::uint64_t>(config_.call_frequency) != 0)
-    return;
   cs.epoch_home = home_rank(pmpi);
-  RACE_WRITE("cham.rank", rank, 0);
-  ++cs.processed;
 
   // Dead leads are detected at the next processed marker: the marker
   // barrier is the synchronization point after which every survivor sees
@@ -551,18 +525,19 @@ void ChameleonTool::handle_marker_post(sim::Rank rank, sim::Pmpi& pmpi) {
   MarkerState state_tag = MarkerState::kAllTracing;
   switch (action) {
     case MarkerAction::kNone:
-      state_tag = cs.lead_phase ? MarkerState::kLead : MarkerState::kAllTracing;
+      state_tag = cs.protocol.lead_phase ? MarkerState::kLead
+                                         : MarkerState::kAllTracing;
       break;
     case MarkerAction::kCluster:
       run_clustering(rank, pmpi, sig);
       lead_merge_into_online(rank, pmpi);
-      cs.lead_phase = true;
+      cs.protocol.lead_phase = true;
       state_tag = MarkerState::kClustering;
       break;
     case MarkerAction::kFlush:
       lead_merge_into_online(rank, pmpi);
-      cs.lead_phase = false;
-      cs.reclustering = true;
+      cs.protocol.lead_phase = false;
+      cs.protocol.reclustering = true;
       st.storing = true;  // everyone traces again until the next clustering
       state_tag = MarkerState::kLead;
       break;
@@ -594,7 +569,7 @@ void ChameleonTool::handle_finalize(sim::Rank rank, sim::Pmpi& pmpi) {
   const double ledger_before = protocol_seconds(rank);
   const cluster::RankSignature sig = close_interval(rank);
   MarkerAction final_action = MarkerAction::kFlush;
-  if (cs.lead_phase) {
+  if (cs.protocol.lead_phase) {
     // A clustering is active: the trailing events live in the lead traces.
     lead_merge_into_online(rank, pmpi);
   } else {
@@ -621,7 +596,7 @@ obs::ReportInput build_report_input(const ChameleonTool& tool,
     std::uint64_t mn = 0;
     std::uint64_t mx = 0;
     for (int r = 0; r < tool.nprocs(); ++r) {
-      const auto& sb = tool.rank_state_bytes(r, state);
+      const auto& sb = tool.rank_ledger(r, state);
       if (sb.calls == 0 && sb.bytes_total == 0) continue;
       if (row.ranks == 0 || sb.bytes_total < mn) mn = sb.bytes_total;
       if (row.ranks == 0 || sb.bytes_total > mx) mx = sb.bytes_total;

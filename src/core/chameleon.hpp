@@ -35,7 +35,6 @@
 #include "core/protocol.hpp"
 #include "durable/snapshot.hpp"
 #include "obs/report.hpp"
-#include "support/memtrack.hpp"
 #include "trace/tracer.hpp"
 
 namespace cham::core {
@@ -45,13 +44,21 @@ class ChameleonTool : public trace::ScalaTraceTool {
   ChameleonTool(int nprocs, trace::CallSiteRegistry* stacks,
                 ChameleonConfig config = {});
 
-  /// The incrementally built global trace (held at rank 0).
+  /// The incrementally built global trace (held at the home rank).
   [[nodiscard]] const std::vector<trace::TraceNode>& online_trace() const {
     return online_;
   }
 
-  /// Cluster table from the most recent clustering (as seen by rank 0).
-  [[nodiscard]] const cluster::ClusterSet& clusters() const;
+  // --- tool-wide views ------------------------------------------------------
+  // Each reads one rank's slot: the rank that processed the most markers
+  // (then closed the most epochs), the lowest rank on ties. That is rank 0
+  // in every fault-free run and a survivor after any crash, so no
+  // tool-wide value depends on one rank staying alive.
+
+  /// Cluster table from the most recent clustering.
+  [[nodiscard]] const cluster::ClusterSet& clusters() const {
+    return *view().clusters;
+  }
   /// The table rank `rank` holds: the broadcast table it shares with every
   /// rank that received the same bytes, or its private copy after a
   /// failover repair.
@@ -61,10 +68,15 @@ class ChameleonTool : public trace::ScalaTraceTool {
   /// The one-slot cache the broadcast tables are decoded through.
   [[nodiscard]] const SharedTableCache& table_cache() const { return tables_; }
 
-  // --- experiment counters (identical on every rank; see Table II) --------
-  [[nodiscard]] std::uint64_t marker_calls_processed() const;
+  // --- experiment counters (Table II) --------------------------------------
+  [[nodiscard]] std::uint64_t marker_calls_processed() const {
+    return view().processed;
+  }
+  /// Epochs that ended in `state`: the counts recovered on resume plus the
+  /// viewed rank's ledger.
   [[nodiscard]] std::uint64_t state_count(MarkerState state) const {
-    return state_counts_[static_cast<std::size_t>(state)];
+    const auto s = static_cast<std::size_t>(state);
+    return resumed_counts_[s] + view().ledger[s].calls;
   }
   [[nodiscard]] std::uint64_t reclusterings() const {
     return state_count(MarkerState::kClustering);
@@ -74,54 +86,43 @@ class ChameleonTool : public trace::ScalaTraceTool {
     return num_callpaths_;
   }
 
-  // --- per-state tool CPU time, aggregated over ranks (Figure 8) ----------
-  // Each processed marker charges its state the growth of the rank's
-  // clustering + inter seconds, so the four states sum to
-  // clustering_seconds() + inter_seconds(). Accounting is kept strictly per
-  // rank (each fiber writes only its own slot — a ChamRace-checked
-  // invariant); the aggregates sum on demand.
-  [[nodiscard]] double state_seconds(MarkerState state) const;
-  /// Same accounting, kept per rank (ChamScope metrics export).
-  [[nodiscard]] double rank_state_seconds(sim::Rank rank,
-                                          MarkerState state) const {
-    return rank_state_seconds_.at(static_cast<std::size_t>(rank))
-        .at(static_cast<std::size_t>(state));
-  }
-  /// Online inter-compression work (lead merges + online append).
-  [[nodiscard]] double online_inter_seconds() const { return inter_seconds(); }
-
-  // --- per-rank, per-state memory accounting (Table IV) -------------------
-  struct StateBytes {
+  // --- per-rank, per-state ledger (Table II, Table IV, Figure 8) ----------
+  /// One rank's account of one protocol state. Each processed marker adds
+  /// one call, the partial trace the rank held during the interval (plus,
+  /// at the home rank, the online trace after the epoch's append), and the
+  /// growth of the rank's clustering + inter seconds, so a rank's four
+  /// states sum to its clustering + inter seconds.
+  struct StateLedger {
     std::uint64_t calls = 0;
     std::uint64_t bytes_total = 0;
+    double seconds = 0.0;
     [[nodiscard]] std::uint64_t bytes_per_call() const {
       return calls == 0 ? 0 : bytes_total / calls;
     }
   };
-  [[nodiscard]] const StateBytes& rank_state_bytes(sim::Rank rank,
-                                                   MarkerState state) const {
-    return bytes_.at(static_cast<std::size_t>(rank))
-        .at(static_cast<std::size_t>(state));
+  [[nodiscard]] const StateLedger& rank_ledger(sim::Rank rank,
+                                               MarkerState state) const {
+    return cham_.at(static_cast<std::size_t>(rank))
+        .ledger.at(static_cast<std::size_t>(state));
+  }
+  /// Per-state tool CPU time summed over ranks (Figure 8).
+  [[nodiscard]] double state_seconds(MarkerState state) const;
+  /// Online inter-compression work (lead merges + online append).
+  [[nodiscard]] double online_inter_seconds() const { return inter_seconds(); }
+
+  /// Partial-trace bytes the rank held at its last processed marker, and
+  /// the most it held at any marker.
+  [[nodiscard]] std::uint64_t rank_held_bytes(sim::Rank rank) const {
+    return cham_.at(static_cast<std::size_t>(rank)).held_bytes;
+  }
+  [[nodiscard]] std::uint64_t rank_peak_held_bytes(sim::Rank rank) const {
+    return cham_.at(static_cast<std::size_t>(rank)).peak_held_bytes;
   }
 
-  /// Partial-trace footprint per rank, re-charged at every marker boundary:
-  /// current() tracks the live interval's bytes, peak() the worst epoch.
-  [[nodiscard]] const support::MemTracker& rank_mem(sim::Rank rank) const {
-    return mem_.at(static_cast<std::size_t>(rank));
-  }
-
-  /// Epoch-by-epoch protocol snapshots (only filled when
+  /// Epoch-by-epoch protocol snapshots, digests included (only filled when
   /// ChameleonConfig::record_epochs is set; recorded by the home rank).
   [[nodiscard]] const std::vector<obs::EpochRecord>& epochs() const {
     return epochs_;
-  }
-
-  /// Per-epoch wire-image digests (only filled when
-  /// ChameleonConfig::record_digests is set; hashed by the home rank from
-  /// the broadcast cluster table + the online trace). The determinism
-  /// auditor diffs these sequences across scheduler seeds.
-  [[nodiscard]] const std::vector<std::uint64_t>& epoch_digests() const {
-    return epoch_digests_;
   }
 
   [[nodiscard]] const ChameleonConfig& config() const { return config_; }
@@ -132,9 +133,9 @@ class ChameleonTool : public trace::ScalaTraceTool {
   void on_post(sim::Rank rank, const sim::CallInfo& info,
                sim::Pmpi& pmpi) override;
 
-  /// Auto-detected marker call site (0 until one recurs); rank-0 view.
+  /// Auto-detected marker call site (0 until one recurs).
   [[nodiscard]] std::uint64_t auto_marker_site() const {
-    return cham_.front().auto_site;
+    return view().protocol.auto_site;
   }
 
  protected:
@@ -144,22 +145,20 @@ class ChameleonTool : public trace::ScalaTraceTool {
   void handle_finalize(sim::Rank rank, sim::Pmpi& pmpi) override;
 
  private:
+  /// Everything the protocol keeps for one rank, written only by that
+  /// rank's fiber.
   struct RankChamState {
     cluster::IntervalSignature interval;
-    std::uint64_t old_callpath = 0;
-    bool first_marker = true;
-    bool reclustering = true;
-    bool lead_phase = false;  // between C and its flush
-    std::uint64_t markers_seen = 0;
+    /// Algorithm 1's flags and the marker counters; the journal stores
+    /// them verbatim and a resumed rank adopts them in one assignment.
+    durable::RankProtocol protocol{.first_marker = true};
     /// Home rank for the current marker epoch, captured right after the
     /// epoch's synchronization point while no crash can intervene — later
     /// protocol steps reuse it so every survivor agrees even if the home
     /// itself dies mid-protocol (consistency over freshness).
     sim::Rank epoch_home = 0;
     /// Processed markers this rank has participated in. Every live rank
-    /// passes every processed marker's barrier, so all live copies agree —
-    /// the counter stays per rank only so that no fiber ever writes a
-    /// shared slot (ChamRace).
+    /// passes every processed marker's barrier, so all live copies agree.
     std::uint64_t processed = 0;
     /// The broadcast table, shared with every rank that received the same
     /// bytes (immutable); a private copy only once a failover repaired it.
@@ -168,10 +167,17 @@ class ChameleonTool : public trace::ScalaTraceTool {
     /// without tracing or protocol work; cleared when the replay reaches
     /// the recovered epoch and the journaled record is adopted.
     bool fast_forward = false;
-    // --- §VII auto-marker detection ---
-    std::uint64_t auto_site = 0;  // chosen recurring collective site
+    /// §VII auto-marker detection: calls seen per world-collective site
+    /// until one recurs.
     std::unordered_map<std::uint64_t, int> site_counts;
+    /// Epochs closed per state, with their trace bytes and seconds.
+    std::array<StateLedger, 4> ledger{};
+    std::uint64_t held_bytes = 0;
+    std::uint64_t peak_held_bytes = 0;
   };
+
+  /// The slot every tool-wide view reads (see "tool-wide views" above).
+  [[nodiscard]] const RankChamState& view() const;
 
   /// Fault tolerance: detect cluster leads that died since the last
   /// processed marker, promote the lowest-rank surviving member of each
@@ -195,17 +201,17 @@ class ChameleonTool : public trace::ScalaTraceTool {
   void lead_merge_into_online(sim::Rank rank, sim::Pmpi& pmpi);
   /// The rank's protocol ledger: its clustering + inter seconds so far.
   [[nodiscard]] double protocol_seconds(sim::Rank rank) const;
-  /// Epoch accounting shared by marker and finalize processing: the state
-  /// count (rank 0), the ledger's growth since `ledger_before` charged to
-  /// the state, the Table IV bytes, the epoch record and the journal entry.
+  /// Epoch accounting shared by marker and finalize processing: one call,
+  /// the Table IV bytes and the protocol seconds since `ledger_before` in
+  /// the rank's ledger for the state, the held partial-trace bytes, the
+  /// epoch record and the journal entry.
   void finish_epoch(sim::Rank rank, sim::Pmpi& pmpi, MarkerState state,
                     MarkerAction action, std::uint64_t intra_bytes,
                     double ledger_before, bool final_epoch);
-  /// ChamScope bookkeeping of finish_epoch: the epoch record (home rank,
-  /// when enabled), the state instant on the timeline, and the per-rank
-  /// partial-trace memory re-charge.
-  void record_epoch(sim::Rank rank, MarkerState state, MarkerAction action,
-                    std::uint64_t intra_bytes);
+  /// ChamScope bookkeeping of finish_epoch: the state instant on the
+  /// timeline and the epoch record with its digest (home rank, when
+  /// enabled).
+  void record_epoch(sim::Rank rank, MarkerState state, MarkerAction action);
 
   /// ChamDurable: journal this rank's post-epoch record, cross the commit
   /// barrier (records precede the delta in the journal), then have the
@@ -214,7 +220,7 @@ class ChameleonTool : public trace::ScalaTraceTool {
   void journal_epoch(sim::Rank rank, sim::Pmpi& pmpi, MarkerState state,
                      MarkerAction action, bool final_epoch);
   /// End of the fast-forward replay: adopt this rank's recovered record
-  /// (protocol flags, partial intra trace, storing flag).
+  /// (protocol state, partial intra trace, storing flag).
   void adopt_resume_state(sim::Rank rank);
 
   ChameleonConfig config_;
@@ -229,14 +235,12 @@ class ChameleonTool : public trace::ScalaTraceTool {
   /// are emitted once per dead lead, by the home rank).
   std::set<sim::Rank> gaps_emitted_;
 
-  std::array<std::uint64_t, 4> state_counts_{};  // written by rank 0 only
+  /// Per-state epoch counts recovered on resume (zero in a fresh run);
+  /// written by the constructor only.
+  std::array<std::uint64_t, 4> resumed_counts_{};
   std::size_t effective_k_ = 0;   // written by the epoch home only
   std::size_t num_callpaths_ = 0;  // written by the epoch home only
-  std::vector<std::array<StateBytes, 4>> bytes_;
-  std::vector<std::array<double, 4>> rank_state_seconds_;
-  std::vector<support::MemTracker> mem_;
   std::vector<obs::EpochRecord> epochs_;  // appended by the epoch home only
-  std::vector<std::uint64_t> epoch_digests_;  // appended by the epoch home
 
   // --- ChamDurable ---
   /// Processed-marker count to fast-forward through on resume (0 = fresh).

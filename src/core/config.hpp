@@ -12,6 +12,13 @@ struct RecoveredState;
 
 namespace cham::core {
 
+/// Fault tolerance: when more than this fraction of cluster leads have died,
+/// the current clustering is abandoned and every survivor falls back to
+/// all-ranks tracing until the next clustering pass (too much of the
+/// representative coverage is gone for lead-only tracing to stand in for
+/// the groups).
+inline constexpr double kDegradeFraction = 0.5;
+
 struct ChameleonConfig {
   /// Cluster budget K (Table I fixes it per benchmark: 3 for BT/SP/POP,
   /// 9 for LU/S3D/LUW, 2 for EMF). Grows dynamically if the number of
@@ -24,31 +31,18 @@ struct ChameleonConfig {
   /// Lead-selection policy for Find-Top-K (Algorithm 2).
   cluster::SelectPolicy policy = cluster::SelectPolicy::kFarthest;
 
-  /// RSD/PRSD fold window (inherited by the underlying tracer).
-  int max_window = 32;
-
   /// Seed for the k-random policy.
   std::uint64_t seed = 0;
 
-  /// Fault tolerance: when more than this fraction of cluster leads have
-  /// died, the current clustering is abandoned and every survivor falls
-  /// back to all-ranks tracing until the next clustering pass (too much of
-  /// the representative coverage is gone for lead-only tracing to stand in
-  /// for the groups).
-  double degrade_fraction = 0.5;
-
-  /// ChamScope: record one obs::EpochRecord per processed marker (state,
-  /// cluster table, per-rank lead assignment) for `chamtrace report`. Off
-  /// by default — the records cost O(P) per marker.
+  /// ChamScope and the ChamRace determinism audit: record one
+  /// obs::EpochRecord per processed marker (state, cluster table, per-rank
+  /// lead assignment, and the digest of the epoch's cluster table and
+  /// online trace) for `chamtrace report` and `chamtrace race`. Comparing
+  /// the digest sequences of runs under different scheduler seeds proves
+  /// (or pinpoints, by first divergent epoch) schedule independence. Off by
+  /// default — a record costs O(P) plus one encode of the table and the
+  /// online trace per marker.
   bool record_epochs = false;
-
-  /// ChamRace determinism audit: after every processed marker the epoch
-  /// home hashes the broadcast cluster table's wire image together with
-  /// the online trace encoding. Comparing the digest sequences of runs
-  /// under different scheduler seeds proves (or pinpoints, by first
-  /// divergent epoch) schedule independence. Off by default — each digest
-  /// costs one encode of the cluster table and online trace.
-  bool record_digests = false;
 
   /// §VII automation: when no explicit markers are inserted, detect the
   /// application's iterative structure and synthesize interim execution
@@ -66,7 +60,7 @@ struct ChameleonConfig {
   /// the caller; the tool only appends/queries. Also changes failure
   /// handling: a promoted lead restores the dead lead's last journaled
   /// partial trace instead of emitting a GAP node (and the loss does not
-  /// count toward degrade_fraction).
+  /// count toward kDegradeFraction).
   durable::Checkpointer* checkpointer = nullptr;
 
   /// ChamDurable resume: recovered state from durable::recover(). The tool

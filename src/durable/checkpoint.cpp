@@ -11,12 +11,14 @@
 #include <system_error>
 
 #include "analysis/race/annotate.hpp"
+#include "core/config.hpp"
 #include "durable/wire.hpp"
 #include "obs/metrics.hpp"
 #include "obs/timeline.hpp"
 #include "support/hash.hpp"
 #include "trace/callsite.hpp"
 #include "trace/merge.hpp"
+#include "trace/rsd.hpp"
 #include "trace/serialize.hpp"
 
 namespace cham::durable {
@@ -46,10 +48,10 @@ std::vector<std::uint8_t> encode_manifest(const RunManifest& m) {
   w.i32(m.procs);
   w.u64(m.k);
   w.i32(m.call_frequency);
-  w.i32(m.max_window);
+  w.i32(trace::kMaxWindow);
   w.u8(m.policy);
   w.u64(m.seed);
-  w.f64(m.degrade_fraction);
+  w.f64(core::kDegradeFraction);
   w.u8(m.auto_marker ? 1 : 0);
   put_string(w, m.fault_plan);
   w.u64(m.fault_seed);
@@ -71,10 +73,12 @@ RunManifest decode_manifest(const std::vector<std::uint8_t>& bytes) {
   m.procs = r.i32();
   m.k = r.u64();
   m.call_frequency = r.i32();
-  m.max_window = r.i32();
+  if (r.i32() != trace::kMaxWindow)
+    throw trace::DecodeError("manifest fold window is not the tracer's");
   m.policy = r.u8();
   m.seed = r.u64();
-  m.degrade_fraction = r.f64();
+  if (r.f64() != core::kDegradeFraction)
+    throw trace::DecodeError("manifest degrade fraction is not the tool's");
   m.auto_marker = r.u8() != 0;
   m.fault_plan = get_string(r);
   m.fault_seed = r.u64();
@@ -160,8 +164,7 @@ RecoveredState recover(const std::string& dir) {
     // The interval image is raw staging — empty (0 bytes, not an encoded
     // empty trace) on epochs without a lead merge.
     if (!delta.interval_wire.empty())
-      trace::append_online(online, trace::decode_trace(delta.interval_wire),
-                           out.manifest.max_window);
+      trace::append_online(online, trace::decode_trace(delta.interval_wire));
     out.clusters_wire = delta.clusters_wire;
     out.state_counts = delta.state_counts;
     out.effective_k = delta.effective_k;

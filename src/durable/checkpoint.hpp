@@ -36,7 +36,9 @@ inline constexpr std::uint16_t kManifestVersion = 1;
 
 /// Everything needed to re-execute the run deterministically and to refuse
 /// artifacts from a differently-configured run. digest() is embedded in
-/// every snapshot/journal envelope.
+/// every snapshot/journal envelope. The image also carries the fold window
+/// and the degrade fraction, written from trace::kMaxWindow and
+/// core::kDegradeFraction; a manifest holding other values is rejected.
 struct RunManifest {
   std::string workload;  ///< e.g. "lu", "mg"
   std::string cls = "S";
@@ -44,10 +46,8 @@ struct RunManifest {
   std::int32_t procs = 0;
   std::uint64_t k = 0;
   std::int32_t call_frequency = 1;
-  std::int32_t max_window = 32;
   std::uint8_t policy = 0;
   std::uint64_t seed = 0;
-  double degrade_fraction = 0.5;
   bool auto_marker = false;
   std::string fault_plan;  ///< resolved plan text; empty = fault-free
   std::uint64_t fault_seed = 0;

@@ -21,16 +21,17 @@ constexpr std::size_t kMinSiteBytes = 8 + 4;
 void encode_rank_record(trace::ByteWriter& w, const RankRecord& rec) {
   w.u64(rec.epoch);
   w.i32(rec.rank);
+  const RankProtocol& p = rec.protocol;
   std::uint8_t flags = 0;
   if (rec.final_epoch) flags |= kFinalEpoch;
-  if (rec.first_marker) flags |= kFirstMarker;
-  if (rec.reclustering) flags |= kReclustering;
-  if (rec.lead_phase) flags |= kLeadPhase;
+  if (p.first_marker) flags |= kFirstMarker;
+  if (p.reclustering) flags |= kReclustering;
+  if (p.lead_phase) flags |= kLeadPhase;
   if (rec.storing) flags |= kStoring;
   w.u8(flags);
-  w.u64(rec.old_callpath);
-  w.u64(rec.markers_seen);
-  w.u64(rec.auto_site);
+  w.u64(p.old_callpath);
+  w.u64(p.markers_seen);
+  w.u64(p.auto_site);
   put_blob(w, rec.intra_wire);
 }
 
@@ -38,15 +39,16 @@ RankRecord decode_rank_record(trace::ByteReader& r) {
   RankRecord rec;
   rec.epoch = r.u64();
   rec.rank = r.i32();
+  RankProtocol& p = rec.protocol;
   const std::uint8_t flags = r.u8();
   rec.final_epoch = (flags & kFinalEpoch) != 0;
-  rec.first_marker = (flags & kFirstMarker) != 0;
-  rec.reclustering = (flags & kReclustering) != 0;
-  rec.lead_phase = (flags & kLeadPhase) != 0;
+  p.first_marker = (flags & kFirstMarker) != 0;
+  p.reclustering = (flags & kReclustering) != 0;
+  p.lead_phase = (flags & kLeadPhase) != 0;
   rec.storing = (flags & kStoring) != 0;
-  rec.old_callpath = r.u64();
-  rec.markers_seen = r.u64();
-  rec.auto_site = r.u64();
+  p.old_callpath = r.u64();
+  p.markers_seen = r.u64();
+  p.auto_site = r.u64();
   rec.intra_wire = get_blob(r);
   return rec;
 }

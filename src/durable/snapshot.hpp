@@ -22,21 +22,28 @@ namespace cham::durable {
 
 inline constexpr std::uint16_t kSnapshotVersion = 1;
 
-/// Per-rank protocol state at an epoch boundary. Written by the owning rank
-/// fiber right after it finishes its epoch work (single-writer, so journal
+/// A rank's position in the marker protocol: the Algorithm 1 flags and the
+/// counters a resumed rank re-adopts to continue where it stopped.
+/// Chameleon's per-rank slot embeds one, and the journal stores it as is.
+struct RankProtocol {
+  bool first_marker = false;
+  bool reclustering = true;
+  bool lead_phase = false;  ///< between a clustering and its flush
+  std::uint64_t old_callpath = 0;
+  std::uint64_t markers_seen = 0;
+  std::uint64_t auto_site = 0;  ///< §VII auto-detected marker site, 0 = none
+};
+
+/// Per-rank state at an epoch boundary. Written by the owning rank fiber
+/// right after it finishes its epoch work (single-writer, so journal
 /// appends never race under ChamRace) and re-adopted verbatim on resume —
 /// or by a promoted lead restoring a dead lead's trace.
 struct RankRecord {
   std::uint64_t epoch = 0;  ///< epochs processed when this was captured
   std::int32_t rank = 0;
   bool final_epoch = false;  ///< captured by finalize, not a marker epoch
-  bool first_marker = false;
-  bool reclustering = true;
-  bool lead_phase = false;
   bool storing = true;
-  std::uint64_t old_callpath = 0;
-  std::uint64_t markers_seen = 0;
-  std::uint64_t auto_site = 0;
+  RankProtocol protocol;
   /// encode_trace() image of the rank's partial intra-node trace.
   std::vector<std::uint8_t> intra_wire;
 };

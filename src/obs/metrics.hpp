@@ -5,8 +5,10 @@
 // The runtime does not update the registry on hot paths; instead the
 // existing cheap accumulators (the tools' per-rank trace::PerfCounters
 // slots, including the per-phase seconds their ToolSections add up, and
-// support::MemTracker) are *bridged* into the registry at report time. That keeps the instrumented code identical to
-// the uninstrumented code until the moment a snapshot is requested.
+// Chameleon's per-rank state ledgers and held trace bytes) are *bridged*
+// into the registry at report time. That keeps the instrumented code
+// identical to the uninstrumented code until the moment a snapshot is
+// requested.
 //
 // The registry is exported as one JSON document (schema
 // "chameleon.metrics.v1") through support/json so escaping and number

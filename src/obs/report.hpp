@@ -28,6 +28,10 @@ struct EpochRecord {
   /// Per-rank assigned lead; -1 while unassigned (the rank traces for
   /// itself). Size = world size.
   std::vector<int> lead_of;
+  /// Wire-image digest of what the epoch committed: the cluster table as
+  /// broadcast and the online trace's structure (the determinism audit of
+  /// `chamtrace race`; the report renderers do not print it).
+  std::uint64_t digest = 0;
 };
 
 /// Aggregated trace memory charged to one protocol state (Table IV).

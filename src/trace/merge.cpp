@@ -226,14 +226,13 @@ std::vector<TraceNode> lcs_merge(std::vector<TraceNode> a,
 }
 
 void append_online(std::vector<TraceNode>& online,
-                   std::vector<TraceNode> interval, int max_window,
-                   PerfCounters* pc) {
+                   std::vector<TraceNode> interval, PerfCounters* pc) {
   // One rolling prefix for the whole interval: built once over the online
   // trace by the first fold, then extended per appended node.
   FoldState state;
   for (auto& node : interval) {
     online.push_back(std::move(node));
-    fold_tail(online, max_window, pc, &state);
+    fold_tail(online, kMaxWindow, pc, &state);
   }
 }
 

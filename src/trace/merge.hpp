@@ -36,11 +36,11 @@ std::vector<TraceNode> lcs_merge(std::vector<TraceNode> a,
                                  PerfCounters* pc = nullptr);
 
 /// Append one interval's merged trace to the growing online trace (held at
-/// rank 0) and recompress the tail so repeated phases fold into loops —
-/// this is what makes the online trace converge to the MPI_Finalize output
-/// of plain ScalaTrace.
+/// the home rank) and recompress the tail over kMaxWindow so repeated phases
+/// fold into loops — this is what makes the online trace converge to the
+/// MPI_Finalize output of plain ScalaTrace.
 void append_online(std::vector<TraceNode>& online,
-                   std::vector<TraceNode> interval, int max_window = 32,
+                   std::vector<TraceNode> interval,
                    PerfCounters* pc = nullptr);
 
 }  // namespace cham::trace

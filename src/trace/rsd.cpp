@@ -171,10 +171,9 @@ int fold_tail(std::vector<TraceNode>& nodes, int max_window, PerfCounters* pc,
   return folder.run();
 }
 
-void IntraTrace::append(EventRecord ev) {
-  ++recorded_;
+void IntraTrace::append(EventRecord ev, PerfCounters* perf) {
   nodes_.push_back(TraceNode::leaf(std::move(ev)));
-  fold_tail(nodes_, max_window_, perf_, &fold_state_);
+  fold_tail(nodes_, kMaxWindow, perf, &fold_state_);
 }
 
 std::vector<TraceNode> IntraTrace::take() {

@@ -23,6 +23,10 @@ namespace cham::trace {
 
 struct PerfCounters;
 
+/// The RSD/PRSD fold window every tracer and the online trace use: tail
+/// windows of 1..kMaxWindow nodes are tried.
+inline constexpr int kMaxWindow = 32;
+
 /// Persistent rolling-hash state for repeated fold_tail calls over the same
 /// growing node sequence. `prefix[k]` is the kShapeSeqBase-polynomial
 /// combination of nodes[0..k) shape hashes; fold_tail keeps it aligned with
@@ -47,11 +51,9 @@ int fold_tail(std::vector<TraceNode>& nodes, int max_window,
 
 class IntraTrace {
  public:
-  explicit IntraTrace(int max_window = 32, PerfCounters* perf = nullptr)
-      : max_window_(max_window), perf_(perf) {}
-
-  /// Append one event and recompress the tail.
-  void append(EventRecord ev);
+  /// Append one event and recompress the tail over kMaxWindow; `perf`
+  /// (optional) receives the fold counters.
+  void append(EventRecord ev, PerfCounters* perf = nullptr);
 
   [[nodiscard]] const std::vector<TraceNode>& nodes() const { return nodes_; }
 
@@ -74,10 +76,6 @@ class IntraTrace {
 
   [[nodiscard]] bool empty() const { return nodes_.empty(); }
 
-  /// Raw events appended since construction/clear-counter semantics: this
-  /// counts *appends*, not compressed nodes.
-  [[nodiscard]] std::uint64_t recorded_events() const { return recorded_; }
-
   /// Compressed leaf count (the paper's n).
   [[nodiscard]] std::size_t compressed_events() const;
 
@@ -87,10 +85,7 @@ class IntraTrace {
 
  private:
   std::vector<TraceNode> nodes_;
-  int max_window_;
-  PerfCounters* perf_ = nullptr;
   FoldState fold_state_;
-  std::uint64_t recorded_ = 0;
 };
 
 }  // namespace cham::trace

@@ -19,19 +19,16 @@ constexpr int kMergeTag = 0x7A01;
 constexpr int kOnlineTag = 0x7A02;
 }  // namespace
 
-ScalaTraceTool::ScalaTraceTool(int nprocs, CallSiteRegistry* stacks,
-                               TracerOptions opts)
-    : nprocs_(nprocs), stacks_(stacks), opts_(opts) {
+ScalaTraceTool::ScalaTraceTool(int nprocs, CallSiteRegistry* stacks)
+    : nprocs_(nprocs), stacks_(stacks) {
   CHAM_CHECK_MSG(stacks_ != nullptr, "tracer needs a call-site registry");
   CHAM_CHECK_MSG(stacks_->nprocs() == nprocs,
                  "registry size must match world size");
   // Pre-install the per-rank singleton ranklists while still pre-fiber and
   // hand each rank its own: every event record starts as that list.
   const std::vector<RankList> singles = ranklist_intern_ensure_world(nprocs);
-  rank_perf_.resize(static_cast<std::size_t>(nprocs));
-  state_.reserve(static_cast<std::size_t>(nprocs));
-  for (std::size_t r = 0; r < singles.size(); ++r)
-    state_.emplace_back(opts_.max_window, &rank_perf_[r], singles[r]);
+  state_.reserve(singles.size());
+  for (const RankList& self : singles) state_.emplace_back(self);
 }
 
 void ScalaTraceTool::on_init(sim::Rank rank, sim::Pmpi& pmpi) {
@@ -61,8 +58,8 @@ void ScalaTraceTool::on_post(sim::Rank rank, const sim::CallInfo& info,
 
   if (st.storing) {
     ++st.events_recorded;
-    const ToolSection timed(rank_perf(rank).intra_seconds);
-    st.intra.append(std::move(record));
+    const ToolSection timed(st.perf.intra_seconds);
+    st.intra.append(std::move(record), &st.perf);
   }
   st.last_event_end = pmpi.vtime();
 
@@ -239,10 +236,10 @@ std::size_t ScalaTraceTool::rank_trace_bytes(sim::Rank r) const {
   return state_.at(static_cast<std::size_t>(r)).intra.footprint_bytes();
 }
 
-const PerfCounters& ScalaTraceTool::perf_counters() const {
-  perf_.reset();
-  for (const PerfCounters& rp : rank_perf_) perf_.add(rp);
-  return perf_;
+PerfCounters ScalaTraceTool::perf_counters() const {
+  PerfCounters total;
+  for (const RankTraceState& st : state_) total.add(st.perf);
+  return total;
 }
 
 }  // namespace cham::trace

@@ -29,20 +29,20 @@ class Pmpi;
 
 namespace cham::trace {
 
-struct TracerOptions {
-  int max_window = 32;
-};
-
-/// Per-rank tracing state (protected so Chameleon can drive it).
+/// Per-rank tracing state (protected so Chameleon can drive it). Written
+/// only by the rank's own fiber.
 struct RankTraceState {
-  RankTraceState(int max_window, PerfCounters* perf, RankList self)
-      : intra(max_window, perf), self(self) {}
+  explicit RankTraceState(RankList self) : self(self) {}
 
   IntraTrace intra;
   /// The rank's singleton ranklist, fetched before fibers start: every
   /// event record starts as this list, so the per-event path reads only
   /// state the rank owns and never takes the intern-table lock.
   RankList self;
+  /// The rank's counters and per-phase tool seconds. Tool-wide values sum
+  /// the slots on demand, so the hot paths never write a shared counter (a
+  /// precondition for the sharded engine and what ChamRace checks).
+  PerfCounters perf;
   double last_event_end = 0.0;
   double pre_vtime = 0.0;
   /// When false the rank observes events (signatures still computed) but
@@ -54,8 +54,7 @@ struct RankTraceState {
 
 class ScalaTraceTool : public sim::Tool {
  public:
-  ScalaTraceTool(int nprocs, CallSiteRegistry* stacks,
-                 TracerOptions opts = {});
+  ScalaTraceTool(int nprocs, CallSiteRegistry* stacks);
 
   void on_init(sim::Rank rank, sim::Pmpi& pmpi) override;
   void on_pre(sim::Rank rank, const sim::CallInfo& info,
@@ -103,14 +102,12 @@ class ScalaTraceTool : public sim::Tool {
     return state_.at(static_cast<std::size_t>(r));
   }
 
-  /// Tool-wide counters and per-phase seconds, aggregated on demand from
-  /// the per-rank slots (each rank's fiber only ever touches its own slot,
-  /// so the hot paths stay free of cross-rank writes — a precondition for
-  /// the sharded engine and what the ChamRace analyzer checks).
-  [[nodiscard]] const PerfCounters& perf_counters() const;
+  /// Tool-wide counters and per-phase seconds: the sum of every rank's
+  /// RankTraceState::perf, taken at report time.
+  [[nodiscard]] PerfCounters perf_counters() const;
   /// One rank's own slot (the per-rank metrics export).
   [[nodiscard]] const PerfCounters& rank_perf_counters(sim::Rank r) const {
-    return rank_perf_.at(static_cast<std::size_t>(r));
+    return rank_state(r).perf;
   }
 
  protected:
@@ -118,11 +115,8 @@ class ScalaTraceTool : public sim::Tool {
     return state_.at(static_cast<std::size_t>(r));
   }
 
-  /// The calling rank's own counter slot. Hot-path writes go here, never to
-  /// the aggregated perf_.
-  PerfCounters& rank_perf(sim::Rank r) {
-    return rank_perf_.at(static_cast<std::size_t>(r));
-  }
+  /// The calling rank's own counter slot; every hot-path write goes here.
+  PerfCounters& rank_perf(sim::Rank r) { return state(r).perf; }
 
   /// Build the event record for a completed call (relative endpoints,
   /// delta-time sample, the rank's singleton ranklist).
@@ -161,15 +155,6 @@ class ScalaTraceTool : public sim::Tool {
 
   int nprocs_;
   CallSiteRegistry* stacks_;
-  TracerOptions opts_;
-  /// One counter block per rank, written only by that rank's fiber.
-  /// Declared before state_ (each RankTraceState's IntraTrace holds a
-  /// pointer into it) and sized once in the constructor, never resized.
-  std::vector<PerfCounters> rank_perf_;
-  /// Aggregation scratch: perf_counters() sums rank_perf_ into it at report
-  /// time. Mutable so the const accessor can fill it; never written on hot
-  /// paths.
-  mutable PerfCounters perf_;
   std::vector<RankTraceState> state_;
   std::vector<TraceNode> global_;
 };

@@ -110,7 +110,7 @@ TEST(Chameleon, NonLeadsStopStoring) {
   ASSERT_EQ(leads.size(), 3u);
   // Non-leads allocate exactly 0 bytes per L-state call (Table IV).
   for (int r = 0; r < 16; ++r) {
-    const auto& lead_bytes = h.tool.rank_state_bytes(r, MarkerState::kLead);
+    const auto& lead_bytes = h.tool.rank_ledger(r, MarkerState::kLead);
     const bool is_lead =
         std::find(leads.begin(), leads.end(), r) != leads.end();
     if (is_lead || r == 0) continue;
@@ -119,7 +119,7 @@ TEST(Chameleon, NonLeadsStopStoring) {
   // Leads keep a bounded per-interval trace in L state.
   for (sim::Rank lead : leads) {
     if (lead == 0) continue;
-    EXPECT_GT(h.tool.rank_state_bytes(lead, MarkerState::kLead).bytes_per_call(),
+    EXPECT_GT(h.tool.rank_ledger(lead, MarkerState::kLead).bytes_per_call(),
               0u);
   }
 }
@@ -136,7 +136,7 @@ TEST(Chameleon, LeadTraceStaysBoundedAcrossQuietMarkers) {
     for (sim::Rank lead : leads) {
       worst = std::max(
           worst,
-          h.tool.rank_state_bytes(lead, MarkerState::kLead).bytes_per_call());
+          h.tool.rank_ledger(lead, MarkerState::kLead).bytes_per_call());
     }
     return worst;
   };

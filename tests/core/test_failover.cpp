@@ -8,7 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdlib>
+#include <filesystem>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -16,10 +18,13 @@
 
 #include "analysis/diagnostic.hpp"
 #include "analysis/lint.hpp"
+#include "durable/checkpoint.hpp"
+#include "replay/interp.hpp"
 #include "sim/engine.hpp"
 #include "sim/fault.hpp"
 #include "sim/mpi.hpp"
 #include "trace/serialize.hpp"
+#include "workloads/workload.hpp"
 
 namespace cham::core {
 namespace {
@@ -149,21 +154,14 @@ TEST_P(LeadCrash, SurvivorsFinalizeCleanly) {
   // never more (gaps are deduplicated per dead lead).
   EXPECT_LE(count_gaps(online), 1u);
 
-  // Every cluster with a surviving member is led by a survivor after the
-  // repair (a cluster whose members all died keeps its dead lead — there
-  // is nobody to promote; rank 0's table copy is only maintained while
-  // rank 0 is alive).
-  if (victim != 0) {
-    for (const auto& [callpath, entries] : h.tool.clusters().groups()) {
-      for (const auto& entry : entries) {
-        bool any_alive = false;
-        for (const sim::Rank member : entry.members.members())
-          if (!h.engine.is_failed(member)) any_alive = true;
-        if (!any_alive) continue;
-        EXPECT_FALSE(h.engine.is_failed(entry.lead))
-            << "cluster of call-path " << callpath << " led by dead rank "
-            << entry.lead;
-      }
+  // Every cluster is led by a survivor after the repair: a dead lead hands
+  // over to its lowest surviving member, and a cluster whose members all
+  // died leaves the table.
+  for (const auto& [callpath, entries] : h.tool.clusters().groups()) {
+    for (const auto& entry : entries) {
+      EXPECT_FALSE(h.engine.is_failed(entry.lead))
+          << "cluster of call-path " << callpath << " led by dead rank "
+          << entry.lead;
     }
   }
 
@@ -276,8 +274,8 @@ TEST(LeadFailover, MidReductionCrashStillYieldsClusterTable) {
 TEST(LeadFailover, MajorityLeadDeathDegradesToAllRanksTracing) {
   const std::vector<sim::Rank> leads = reference_clusters(16, 12).leads();
   ASSERT_GE(leads.size(), 3u);
-  // Kill two of the three leads (spare the home rank so the rank-0 view
-  // stays observable): 2/3 > degrade_fraction = 0.5.
+  // Kill two of the three leads (neither the home rank, which would also
+  // move the online trace): 2/3 > kDegradeFraction = 0.5.
   const sim::Rank a = leads[leads.size() - 2];
   const sim::Rank b = leads[leads.size() - 1];
   ASSERT_NE(a, 0);
@@ -295,6 +293,124 @@ TEST(LeadFailover, MajorityLeadDeathDegradesToAllRanksTracing) {
   // The degradation fell back to all-ranks tracing and re-clustered.
   EXPECT_GE(h.tool.state_count(MarkerState::kClustering), 2u);
   EXPECT_EQ(lint_errors(online, 16), 0u);
+}
+
+// --- rank 0 dies: every tool-wide view comes from a survivor --------------
+
+constexpr const char* kRankZeroCrash = "crash rank=0 marker=3";
+
+/// What a finished run reports it processed: the marker count and the
+/// per-state epoch counts in MarkerState order.
+struct ProcessedCounts {
+  std::uint64_t markers = 0;
+  std::array<std::uint64_t, 4> states{};
+  bool operator==(const ProcessedCounts&) const = default;
+};
+
+ProcessedCounts processed_counts(const ChameleonTool& tool) {
+  ProcessedCounts counts;
+  counts.markers = tool.marker_calls_processed();
+  for (std::size_t s = 0; s < counts.states.size(); ++s)
+    counts.states[s] = tool.state_count(static_cast<MarkerState>(s));
+  return counts;
+}
+
+/// The counts of the fault-free 16-rank, 12-step steady run.
+ProcessedCounts fault_free_counts() {
+  sim::Engine engine({.nprocs = 16});
+  CallSiteRegistry stacks(16);
+  ChameleonTool reference(16, &stacks, {.k = 3});
+  engine.set_tool(&reference);
+  engine.run([&](sim::Mpi& mpi) { steady_phase(mpi, stacks, 12); });
+  return processed_counts(reference);
+}
+
+TEST(RankZeroCrash, CountsMatchTheFaultFreeRun) {
+  // The survivors pass every processed marker the fault-free run does, and
+  // one dead lead of three is below the degrade fraction, so the counts
+  // must not move when rank 0 dies.
+  FaultyHarness h(16, kRankZeroCrash);
+  h.engine.run([&](sim::Mpi& mpi) { steady_phase(mpi, h.stacks, 12); });
+  ASSERT_TRUE(h.engine.is_failed(0));
+  EXPECT_EQ(processed_counts(h.tool), fault_free_counts());
+  EXPECT_EQ(h.tool.state_count(MarkerState::kLead), 10u);
+}
+
+TEST(RankZeroCrash, AtFinalizeTheSurvivorsCountTheFinalEpoch) {
+  // Rank 0 dies entering MPI_Finalize (call 50: MPI_Init, then four calls
+  // per step). It processed every marker the survivors did but never
+  // closed the final epoch, so its slot must not stand for the run.
+  FaultyHarness h(16, "crash rank=0 call=50");
+  h.engine.run([&](sim::Mpi& mpi) { steady_phase(mpi, h.stacks, 12); });
+  ASSERT_TRUE(h.engine.is_failed(0));
+  EXPECT_EQ(processed_counts(h.tool), fault_free_counts());
+  EXPECT_EQ(&h.tool.clusters(), &h.tool.rank_clusters(1));
+}
+
+TEST(RankZeroCrash, ClustersAreTheSurvivorsTable) {
+  FaultyHarness h(16, kRankZeroCrash);
+  h.engine.run([&](sim::Mpi& mpi) { steady_phase(mpi, h.stacks, 12); });
+  ASSERT_TRUE(h.engine.is_failed(0));
+  // The lowest survivor's own table, not a copy rank 0 left behind.
+  EXPECT_EQ(&h.tool.clusters(), &h.tool.rank_clusters(1));
+  EXPECT_EQ(h.tool.clusters(), h.tool.rank_clusters(1));
+  for (const sim::Rank lead : h.tool.clusters().leads())
+    EXPECT_FALSE(h.engine.is_failed(lead)) << "lead " << lead;
+}
+
+TEST(RankZeroCrash, JournalRecordsTheSurvivorsCounts) {
+  // The epoch home after rank 0 dies journals its own ledger, so the
+  // recovered counts are the live tool's, not rank 0's last ones.
+  const std::string dir = testing::TempDir() + "/failover_rank_zero_journal";
+  std::filesystem::remove_all(dir);
+  durable::RunManifest manifest;
+  manifest.workload = "test.steady";
+  manifest.procs = 16;
+  manifest.k = 3;
+  manifest.fault_plan = kRankZeroCrash;
+  manifest.snapshot_every = 4;
+  const auto cp = durable::Checkpointer::create(dir, manifest);
+  FaultyHarness h(16, kRankZeroCrash, 0, {.k = 3, .checkpointer = cp.get()});
+  h.engine.run([&](sim::Mpi& mpi) { steady_phase(mpi, h.stacks, 12); });
+  ASSERT_TRUE(h.engine.is_failed(0));
+
+  const durable::RecoveredState recovered = durable::recover(dir);
+  EXPECT_TRUE(recovered.finalized);
+  EXPECT_EQ(recovered.state_counts, processed_counts(h.tool).states);
+  EXPECT_EQ(recovered.state_counts[static_cast<std::size_t>(MarkerState::kLead)],
+            10u);
+}
+
+// --- a cluster whose every member died leaves the table -------------------
+
+/// lu on 32 ranks at Call_Frequency 1 for 12 steps, `victim` crashing at
+/// the third marker: the event-rank pairs the online trace replays to.
+/// Rank 0 forms a singleton cluster there, so its death empties a cluster.
+std::uint64_t lu_pairs_after_crash(sim::Rank victim, bool* dead_lead) {
+  const workloads::WorkloadInfo* info = workloads::find_workload("lu");
+  EXPECT_NE(info, nullptr);
+  FaultyHarness h(32, "crash rank=" + std::to_string(victim) + " marker=3", 0,
+                  {.k = info->default_k, .call_frequency = 1});
+  const workloads::WorkloadParams params{.cls = 'D', .timesteps = 12};
+  h.engine.run([&](sim::Mpi& mpi) { info->run(mpi, h.stacks, params); });
+  EXPECT_TRUE(h.engine.is_failed(victim));
+  *dead_lead = false;
+  for (const sim::Rank lead : h.tool.clusters().leads())
+    *dead_lead = *dead_lead || h.engine.is_failed(lead);
+  return replay::expanded_event_rank_pairs(h.tool.online_trace());
+}
+
+TEST(LeadFailover, WholeClusterDeathKeepsLaterLeadMerges) {
+  // A dead singleton lead left in the table would root every later lead
+  // merge and lose all intervals after the crash; losing rank 0 must cost
+  // no more than losing rank 31 does.
+  bool dead_lead_0 = true;
+  bool dead_lead_31 = true;
+  const std::uint64_t pairs_0 = lu_pairs_after_crash(0, &dead_lead_0);
+  const std::uint64_t pairs_31 = lu_pairs_after_crash(31, &dead_lead_31);
+  EXPECT_EQ(pairs_0, pairs_31);
+  EXPECT_FALSE(dead_lead_0);
+  EXPECT_FALSE(dead_lead_31);
 }
 
 // --- the injector must be invisible when absent --------------------------

@@ -7,6 +7,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <string>
@@ -51,7 +52,7 @@ RankRecord rank_record(std::int32_t rank, std::uint64_t epoch,
   rec.epoch = epoch;
   rec.rank = rank;
   rec.final_epoch = final_epoch;
-  rec.markers_seen = epoch;
+  rec.protocol.markers_seen = epoch;
   rec.intra_wire = trace::encode_trace({});
   return rec;
 }
@@ -212,6 +213,43 @@ TEST(Manifest, RoundTripAndDigestStability) {
   RunManifest other = m;
   other.fault_plan = "crash rank=3 marker=4";
   EXPECT_NE(other.digest(), m.digest());
+}
+
+/// A sealed manifest image in the encoder's field order, with the fold
+/// window and degrade fraction as given.
+std::vector<std::uint8_t> manifest_image(std::int32_t fold_window,
+                                         double degrade_fraction) {
+  const RunManifest m = test_manifest();
+  trace::ByteWriter w;
+  put_string(w, m.workload);
+  put_string(w, m.cls);
+  w.i32(m.timesteps);
+  w.i32(m.procs);
+  w.u64(m.k);
+  w.i32(m.call_frequency);
+  w.i32(fold_window);
+  w.u8(m.policy);
+  w.u64(m.seed);
+  w.f64(degrade_fraction);
+  w.u8(m.auto_marker ? 1 : 0);
+  put_string(w, m.fault_plan);
+  w.u64(m.fault_seed);
+  w.u64(m.sched_seed);
+  w.i32(m.snapshot_every);
+  return seal(kManifestMagic, kManifestVersion, 0, w.take());
+}
+
+TEST(Manifest, FoldWindowAndDegradeFractionArePinned) {
+  // The image stores the program's constants...
+  EXPECT_EQ(encode_manifest(test_manifest()), manifest_image(32, 0.5));
+  // ...and a manifest from outside the program holding other values is
+  // corrupt input, not a configuration to run.
+  EXPECT_THROW(decode_manifest(manifest_image(16, 0.5)), trace::DecodeError);
+  EXPECT_THROW(decode_manifest(manifest_image(32, 0.75)), trace::DecodeError);
+  const std::string dir = fresh_dir("manifest_pinned");
+  std::filesystem::create_directories(dir);
+  write_file_sync(dir + "/manifest.bin", manifest_image(64, 0.5));
+  EXPECT_THROW(recover(dir), trace::DecodeError);
 }
 
 // --- golden version-skew images -------------------------------------------

@@ -18,13 +18,13 @@ RankRecord sample_record(std::int32_t rank, std::uint64_t epoch) {
   rec.epoch = epoch;
   rec.rank = rank;
   rec.final_epoch = false;
-  rec.first_marker = (rank % 2) == 0;
-  rec.reclustering = (rank % 3) == 0;
-  rec.lead_phase = rank == 1;
   rec.storing = rank != 2;
-  rec.old_callpath = 0xC0FFEEull + static_cast<std::uint64_t>(rank);
-  rec.markers_seen = epoch * 2;
-  rec.auto_site = rank == 0 ? 0x5EED : 0;
+  rec.protocol.first_marker = (rank % 2) == 0;
+  rec.protocol.reclustering = (rank % 3) == 0;
+  rec.protocol.lead_phase = rank == 1;
+  rec.protocol.old_callpath = 0xC0FFEEull + static_cast<std::uint64_t>(rank);
+  rec.protocol.markers_seen = epoch * 2;
+  rec.protocol.auto_site = rank == 0 ? 0x5EED : 0;
   rec.intra_wire = {0x01, 0x02, 0x03, static_cast<std::uint8_t>(rank)};
   return rec;
 }
@@ -49,9 +49,9 @@ TEST(RankRecordWire, RoundTripAllFlagCombinations) {
   for (int bits = 0; bits < 32; ++bits) {
     RankRecord rec = sample_record(7, 9);
     rec.final_epoch = (bits & 1) != 0;
-    rec.first_marker = (bits & 2) != 0;
-    rec.reclustering = (bits & 4) != 0;
-    rec.lead_phase = (bits & 8) != 0;
+    rec.protocol.first_marker = (bits & 2) != 0;
+    rec.protocol.reclustering = (bits & 4) != 0;
+    rec.protocol.lead_phase = (bits & 8) != 0;
     rec.storing = (bits & 16) != 0;
     trace::ByteWriter w;
     encode_rank_record(w, rec);
@@ -60,15 +60,15 @@ TEST(RankRecordWire, RoundTripAllFlagCombinations) {
     const RankRecord out = decode_rank_record(r);
     EXPECT_TRUE(r.exhausted());
     EXPECT_EQ(out.final_epoch, rec.final_epoch);
-    EXPECT_EQ(out.first_marker, rec.first_marker);
-    EXPECT_EQ(out.reclustering, rec.reclustering);
-    EXPECT_EQ(out.lead_phase, rec.lead_phase);
+    EXPECT_EQ(out.protocol.first_marker, rec.protocol.first_marker);
+    EXPECT_EQ(out.protocol.reclustering, rec.protocol.reclustering);
+    EXPECT_EQ(out.protocol.lead_phase, rec.protocol.lead_phase);
     EXPECT_EQ(out.storing, rec.storing);
     EXPECT_EQ(out.epoch, rec.epoch);
     EXPECT_EQ(out.rank, rec.rank);
-    EXPECT_EQ(out.old_callpath, rec.old_callpath);
-    EXPECT_EQ(out.markers_seen, rec.markers_seen);
-    EXPECT_EQ(out.auto_site, rec.auto_site);
+    EXPECT_EQ(out.protocol.old_callpath, rec.protocol.old_callpath);
+    EXPECT_EQ(out.protocol.markers_seen, rec.protocol.markers_seen);
+    EXPECT_EQ(out.protocol.auto_site, rec.protocol.auto_site);
     EXPECT_EQ(out.intra_wire, rec.intra_wire);
   }
 }

@@ -103,12 +103,15 @@ std::vector<std::uint64_t> digests_for_seed(const std::string& workload,
   sim::Engine engine(sim::EngineOptions{.nprocs = procs, .sched_seed = seed});
   trace::CallSiteRegistry stacks(procs);
   core::ChameleonConfig config;
-  config.record_digests = true;
+  config.record_epochs = true;
   core::ChameleonTool tool(procs, &stacks, config);
   engine.set_tool(&tool);
   workloads::WorkloadParams params{.cls = 'A', .timesteps = steps};
   engine.run([&](sim::Mpi& mpi) { info->run(mpi, stacks, params); });
-  return tool.epoch_digests();
+  std::vector<std::uint64_t> digests;
+  for (const obs::EpochRecord& epoch : tool.epochs())
+    digests.push_back(epoch.digest);
+  return digests;
 }
 
 TEST(RaceSim, DeterminismAuditPassesAcrossTenShuffledSeeds) {

@@ -532,14 +532,15 @@ RunOutput run_workload(const std::string& name, int procs, int steps,
       .nprocs = procs, .sched_seed = seed, .threads = threads});
   trace::CallSiteRegistry stacks(procs);
   core::ChameleonConfig config;
-  config.record_digests = true;
+  config.record_epochs = true;
   core::ChameleonTool tool(procs, &stacks, config);
   engine.set_tool(&tool);
   workloads::WorkloadParams params{.cls = 'A', .timesteps = steps};
   params.perturb_every = perturb_every;
   engine.run([&](sim::Mpi& mpi) { info->run(mpi, stacks, params); });
   RunOutput out;
-  out.digests = tool.epoch_digests();
+  for (const obs::EpochRecord& epoch : tool.epochs())
+    out.digests.push_back(epoch.digest);
   out.table = tool.clusters().encode();
   out.perf = tool.perf_counters();
   return out;

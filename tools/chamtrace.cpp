@@ -393,10 +393,8 @@ durable::RunManifest make_manifest(const Args& args, const WorkloadRun& run) {
   m.procs = run.procs;
   m.k = run.config.k;
   m.call_frequency = run.config.call_frequency;
-  m.max_window = run.config.max_window;
   m.policy = static_cast<std::uint8_t>(run.config.policy);
   m.seed = run.config.seed;
-  m.degrade_fraction = run.config.degrade_fraction;
   m.auto_marker = run.config.auto_marker;
   if (run.injector) {
     m.fault_plan = run.injector->plan().to_string();
@@ -472,10 +470,8 @@ int setup_resume(const Args& args, const std::string& dir, WorkloadRun& run) {
   run.params.timesteps = m.timesteps;
   run.config.k = m.k;
   run.config.call_frequency = m.call_frequency;
-  run.config.max_window = m.max_window;
   run.config.policy = static_cast<cluster::SelectPolicy>(m.policy);
   run.config.seed = m.seed;
-  run.config.degrade_fraction = m.degrade_fraction;
   run.config.auto_marker = m.auto_marker;
 
   // --threads is an execution choice, not part of the recorded run: the
@@ -548,20 +544,18 @@ void export_run_metrics(obs::MetricsRegistry& reg, WorkloadRun& run) {
       for (int r = 0; r < run.procs; ++r) {
         const obs::Labels labels{{"rank", rank_label(r)},
                                  {"state", state_name}};
-        reg.set_gauge("cham.rank.state_seconds", labels,
-                      cham.rank_state_seconds(r, state));
-        const auto& sb = cham.rank_state_bytes(r, state);
-        reg.set_counter("cham.mem.state_bytes", labels, sb.bytes_total);
-        reg.set_counter("cham.mem.state_calls", labels, sb.calls);
+        const auto& ledger = cham.rank_ledger(r, state);
+        reg.set_gauge("cham.rank.state_seconds", labels, ledger.seconds);
+        reg.set_counter("cham.mem.state_bytes", labels, ledger.bytes_total);
+        reg.set_counter("cham.mem.state_calls", labels, ledger.calls);
       }
     }
     for (int r = 0; r < run.procs; ++r) {
       const obs::Labels labels{{"rank", rank_label(r)}};
-      const support::MemTracker& mem = cham.rank_mem(r);
       reg.set_gauge("cham.mem.current_bytes", labels,
-                    static_cast<double>(mem.current()));
+                    static_cast<double>(cham.rank_held_bytes(r)));
       reg.set_gauge("cham.mem.peak_bytes", labels,
-                    static_cast<double>(mem.peak()));
+                    static_cast<double>(cham.rank_peak_held_bytes(r)));
     }
   }
   reg.set_counter("cham.engine.ranks_failed", {},
@@ -922,13 +916,16 @@ int cmd_race(const Args& args) {
           .nprocs = run.procs, .sched_seed = seed, .threads = threads});
       trace::CallSiteRegistry stacks(run.procs);
       core::ChameleonConfig config = run.config;
-      config.record_digests = true;
+      config.record_epochs = true;
       core::ChameleonTool tool(run.procs, &stacks, config);
       engine.set_tool(&tool);
       engine.run([&](sim::Mpi& mpi) {
         run.info->run(mpi, stacks, run.params);
       });
-      return tool.epoch_digests();
+      std::vector<std::uint64_t> digests;
+      for (const obs::EpochRecord& epoch : tool.epochs())
+        digests.push_back(epoch.digest);
+      return digests;
     };
     const int nseeds = std::stoi(args.value("--seeds").value_or("10"));
     std::vector<std::uint64_t> seeds{0};

@@ -304,8 +304,11 @@ if ratio > 1.35:
 EOF
 
 # ChamRace smoke (release build): the seeded racefix fixture must fail the
-# gate with its known conflicts, and a clean workload must produce a race
-# report (with determinism audit) that the bundled validator accepts.
+# gate with its known conflicts, a clean workload must produce a race
+# report (with determinism audit) that the bundled validator accepts, and
+# the same workload with rank 0 crashing must audit clean too — the
+# failover repair, the tool-wide views read from a survivor and the new
+# home rank's epoch accounting.
 echo "=== [release] chamrace smoke ==="
 race_dir="build-check/release/race-smoke"
 mkdir -p "$race_dir"
@@ -322,6 +325,12 @@ done
 "$chamtrace" race --workload lu --procs 8 --steps 6 --seeds 3 \
   --json "$race_dir/race.json" >/dev/null
 "$chamtrace" validate --race "$race_dir/race.json"
+"$chamtrace" race --workload lu --procs 8 --steps 6 --freq 1 --seeds 2 \
+  --fault "crash rank=0 marker=3" > "$race_dir/crash.out" ||
+  { cat "$race_dir/crash.out" >&2
+    echo "chamrace smoke: rank-0 crash run is not clean" >&2; exit 1; }
+grep -qF "race: clean (0 findings" "$race_dir/crash.out" ||
+  { echo "chamrace smoke: rank-0 crash run reports findings" >&2; exit 1; }
 
 # ChamDurable kill/resume smoke (release build): for each scheduler seed, a
 # reference checkpointed run and a --kill-at-epoch SIGKILL'd run that is

@@ -9,8 +9,8 @@
 //   3. acts on the outcome (Algorithm 3):
 //        C      hierarchical signature clustering over a binomial tree,
 //               broadcast of the top-K cluster table, lead-only trace merge
-//               into the online trace at rank 0, partial-trace reset;
-//               non-leads stop storing traces,
+//               into the online trace at the home rank (rank 0 until it
+//               dies), partial-trace reset; non-leads stop storing traces,
 //        L      (flush, on a phase change while leading) lead-only merge
 //               with the existing clusters, then back to all-tracing,
 //        quiet  nothing — leads keep accumulating (RSD folding keeps their
@@ -182,9 +182,10 @@ class ChameleonTool : public trace::ScalaTraceTool {
   /// Fault tolerance: detect cluster leads that died since the last
   /// processed marker, promote the lowest-rank surviving member of each
   /// affected cluster, record an explicit gap node for the interval the
-  /// dead lead's partial trace covered, and fall back to all-ranks tracing
-  /// when more than config_.degrade_fraction of the leads are gone. No-op
-  /// without an installed fault injector.
+  /// dead lead's partial trace covered, drop every cluster with no
+  /// survivor from the table, and fall back to all-ranks tracing when more
+  /// than kDegradeFraction of the leads are gone. No-op without an
+  /// installed fault injector.
   void handle_failures(sim::Rank rank, sim::Pmpi& pmpi);
   /// Rank that owns the online trace and roots the vote: rank 0 until it
   /// dies, then the lowest surviving rank.
